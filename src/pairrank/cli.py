@@ -13,7 +13,6 @@ from pathlib import Path
 
 from . import corpus, harness, metrics
 from .harness import CheckpointError, NumericalAbort, TrainConfig
-from .model import score_pair
 from .textenc import Vocab
 
 EXIT_OK = 0
@@ -92,13 +91,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, vocab = _load_model(args.checkpoint, args.vocab)
-    ds = _load_dataset(args.data)
-    kept = corpus.filter_evaluable(ds, args.filter)
-    report = metrics.evaluate(params, vocab, ds, filter_mode=args.filter)
+    report = metrics.evaluate(params, vocab, _load_dataset(args.data), filter_mode=args.filter)
     if args.run_file:
-        rankings = metrics.rank_dataset(params, vocab, kept)
         with open(args.run_file, "w", encoding="utf-8") as f:
-            metrics.write_trec_run(rankings, f)
+            metrics.write_trec_run(report.rankings, f)
     print(report.to_json())
     return EXIT_OK
 
@@ -110,11 +106,12 @@ def cmd_rank(args) -> int:
     if not answers:
         print("error: answers file is empty", file=sys.stderr)
         return EXIT_DATA
-    scored = [(score_pair(params, vocab, args.question, a), i, a)
-              for i, a in enumerate(answers)]
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    for rank, (score, _, answer) in enumerate(scored, start=1):
-        print(f"{rank}\t{score:.6f}\t{answer}")
+    # one unlabeled question whose answer ids are the input line indices
+    question = corpus.Question("rank", args.question, tuple(
+        corpus.CandidateAnswer(str(i), a, False) for i, a in enumerate(answers)))
+    [ranked] = metrics.rank_dataset(params, vocab, corpus.Dataset("rank", "test", (question,)))
+    for rank, (answer_id, score, _) in enumerate(ranked.entries, start=1):
+        print(f"{rank}\t{score:.6f}\t{answers[int(answer_id)]}")
     return EXIT_OK
 
 
@@ -166,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (corpus.CorpusError, CheckpointError, FileNotFoundError) as exc:
+    except (corpus.CorpusError, CheckpointError, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, json.JSONDecodeError) as exc:

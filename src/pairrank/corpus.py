@@ -45,12 +45,6 @@ class Question:
     candidates: tuple[CandidateAnswer, ...]
     extra: tuple = ()
 
-    def positives(self) -> list[CandidateAnswer]:
-        return [c for c in self.candidates if c.label]
-
-    def negatives(self) -> list[CandidateAnswer]:
-        return [c for c in self.candidates if not c.label]
-
 
 @dataclass(frozen=True)
 class Dataset:

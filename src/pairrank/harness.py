@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import IO
 
 import numpy as np
@@ -40,7 +40,7 @@ class NumericalAbort(RuntimeError):
 
 
 class CheckpointError(ValueError):
-    """Bad magic, version, or truncated checkpoint data."""
+    """Bad magic, version or config header, or truncated or overlong checkpoint data."""
 
 
 @dataclass(frozen=True)
@@ -68,29 +68,19 @@ class TrainConfig:
             raise ValueError("batch_size and num_epochs must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "loss": dict(self.loss.__dict__),
-            "sampling": dict(self.sampling.__dict__),
-            "optimizer": self.optimizer,
-            "learning_rate": self.learning_rate,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_epsilon": self.adam_epsilon,
-            "batch_size": self.batch_size,
-            "num_epochs": self.num_epochs,
-            "eval_every": self.eval_every,
-            "base_seed": self.base_seed,
-            "filter_mode": self.filter_mode,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
-        obj = dict(obj)
-        model = ModelConfig.from_dict({"vocab_size": 4, **obj.pop("model", {})})
-        loss = LossConfig(**obj.pop("loss", {}))
-        sampling = SamplingConfig(**obj.pop("sampling", {}))
-        return cls(model=model, loss=loss, sampling=sampling, **obj)
+        """Build from parsed JSON; an unknown key raises ValueError naming it."""
+        try:
+            obj = dict(obj)
+            model = ModelConfig.from_dict({"vocab_size": 4, **obj.pop("model", {})})
+            loss = LossConfig(**obj.pop("loss", {}))
+            sampling = SamplingConfig(**obj.pop("sampling", {}))
+            return cls(model=model, loss=loss, sampling=sampling, **obj)
+        except TypeError as exc:  # the message names the unexpected keyword argument
+            raise ValueError(f"bad train config: {exc}") from exc
 
 
 @dataclass
@@ -156,12 +146,17 @@ def load_checkpoint(stream: IO[bytes]) -> ModelParams:
     header = stream.read(header_len)
     if len(header) != header_len:
         raise CheckpointError("truncated checkpoint config")
-    config = ModelConfig.from_dict(json.loads(header.decode("utf-8")))
+    try:
+        config = ModelConfig.from_dict(json.loads(header.decode("utf-8")))
+    except (ValueError, TypeError) as exc:  # bad UTF-8 or JSON, unknown or missing keys
+        raise CheckpointError(f"bad checkpoint config: {exc}") from exc
     from .model import num_params
     expected = num_params(config)
     raw = stream.read(expected * 4)
     if len(raw) != expected * 4:
         raise CheckpointError("truncated checkpoint parameters")
+    if stream.read(1):
+        raise CheckpointError("trailing bytes after checkpoint parameters")
     flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     return ModelParams(config, flat)
 
@@ -186,17 +181,12 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset | None = Non
     if not triples:
         raise ValueError("no training triples (every question lacks a positive or a negative)")
 
-    # encode each (question, candidate) pair once
-    encoded: dict[tuple[str, str], object] = {}
-    q_text = {q.question_id: q.text for q in train_set.questions}
-    cand_text = {(q.question_id, c.answer_id): c.text
-                 for q in train_set.questions for c in q.candidates}
-    def enc(qid: str, aid: str):
-        key = (qid, aid)
-        if key not in encoded:
-            encoded[key] = encode_pair(vocab, q_text[qid], cand_text[key],
-                                       max_len=model_cfg.max_len)
-        return encoded[key]
+    # encode each (question, candidate) pair that a triple uses, once
+    used = {(t.question_id, a) for t in triples for a in (t.positive_id, t.negative_id)}
+    encoded = {(q.question_id, c.answer_id): encode_pair(vocab, q.text, c.text,
+                                                         max_len=model_cfg.max_len)
+               for q in train_set.questions for c in q.candidates
+               if (q.question_id, c.answer_id) in used}
 
     state = OptimizerState()
     history = TrainHistory()
@@ -206,8 +196,8 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset | None = Non
         order = shuffle_triples(triples, config.base_seed + epoch)
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            pos_pairs = [enc(t.question_id, t.positive_id) for t in batch]
-            neg_pairs = [enc(t.question_id, t.negative_id) for t in batch]
+            pos_pairs = [encoded[t.question_id, t.positive_id] for t in batch]
+            neg_pairs = [encoded[t.question_id, t.negative_id] for t in batch]
             dropout_seed = _mix64(config.base_seed ^ _mix64(step + 1))
             scores, cache = forward(params, pos_pairs + neg_pairs,
                                     train_mode=True, dropout_seed=dropout_seed)

@@ -16,6 +16,8 @@ from .corpus import Dataset, Question, filter_evaluable
 from .model import ModelParams, forward
 from .textenc import Vocab, encode_pair
 
+BATCH_SIZE = 64  # pairs per eval-mode forward
+
 
 @dataclass(frozen=True)
 class RankedList:
@@ -40,6 +42,8 @@ class EvalReport:
     num_questions_scored: int
     num_questions_skipped: int
     filter_mode: str
+    # the rankings the metrics were computed from; not part of the report JSON
+    rankings: tuple[RankedList, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -105,11 +109,11 @@ def compute_report(questions: Sequence[Question],
         num_questions_scored=n,
         num_questions_skipped=num_skipped,
         filter_mode=filter_mode,
+        rankings=tuple(rankings),
     )
 
 
-def rank_dataset(params: ModelParams, vocab: Vocab, dataset: Dataset,
-                 batch_size: int = 64) -> list[RankedList]:
+def rank_dataset(params: ModelParams, vocab: Vocab, dataset: Dataset) -> list[RankedList]:
     """Score every candidate of every question (eval mode) and rank them."""
     if params.config.vocab_size != len(vocab):
         raise ValueError(
@@ -119,8 +123,8 @@ def rank_dataset(params: ModelParams, vocab: Vocab, dataset: Dataset,
         for c in q.candidates:
             pairs.append(encode_pair(vocab, q.text, c.text, max_len=params.config.max_len))
     scores: list[float] = []
-    for start in range(0, len(pairs), batch_size):
-        batch_scores, _ = forward(params, pairs[start:start + batch_size], train_mode=False)
+    for start in range(0, len(pairs), BATCH_SIZE):
+        batch_scores, _ = forward(params, pairs[start:start + BATCH_SIZE], train_mode=False)
         scores.extend(float(s) for s in batch_scores)
     rankings = []
     offset = 0
@@ -132,12 +136,12 @@ def rank_dataset(params: ModelParams, vocab: Vocab, dataset: Dataset,
 
 
 def evaluate(params: ModelParams, vocab: Vocab, dataset: Dataset,
-             filter_mode: str = "require_positive", batch_size: int = 64) -> EvalReport:
+             filter_mode: str = "require_positive") -> EvalReport:
     """Filter, score, rank, and aggregate MRR/MAP over a dataset."""
     kept = filter_evaluable(dataset, filter_mode)
     if not kept.questions:
         raise ValueError("no questions left to evaluate after filtering")
-    rankings = rank_dataset(params, vocab, kept, batch_size=batch_size)
+    rankings = rank_dataset(params, vocab, kept)
     return compute_report(kept.questions, rankings, filter_mode,
                           num_skipped=len(dataset.questions) - len(kept.questions))
 

@@ -15,13 +15,13 @@ the raw hidden state at position 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .rng import DeterministicRng
-from .textenc import EncodedPair, Vocab, encode_pair
+from .textenc import EncodedPair
 
 _INIT_STREAM = 201
 _DROPOUT_STREAM = 202
@@ -335,14 +335,3 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
     grads.tensors["pos_emb"][:T] += dx.sum(axis=0)
     np.add.at(grads.tensors["seg_emb"], segs, dx)
     return grads
-
-
-def score_pair(params: ModelParams, vocab: Vocab, question: str, answer: str) -> float:
-    """Eval-mode score of a single (question, answer) pair."""
-    pair = encode_pair(vocab, question, answer, max_len=params.config.max_len)
-    scores, _ = forward(params, [pair], train_mode=False)
-    return float(scores[0])
-
-
-def with_vocab_size(config: ModelConfig, vocab_size: int) -> ModelConfig:
-    return replace(config, vocab_size=vocab_size)

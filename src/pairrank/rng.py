@@ -72,10 +72,6 @@ class DeterministicRng:
             filled += take
         return out
 
-    def randint_below(self, n: int) -> int:
-        """One integer uniform on [0, n)."""
-        return int(self.uniform(1)[0] * n)
-
     def shuffled_indices(self, n: int) -> list[int]:
         """A permutation of range(n) via Fisher-Yates."""
         idx = list(range(n))

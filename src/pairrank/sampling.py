@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
 
 from .corpus import Dataset
 from .rng import DeterministicRng
@@ -20,9 +19,6 @@ class TrainingTriple:
     question_id: str
     positive_id: str
     negative_id: str
-
-    def to_tsv(self) -> str:
-        return f"{self.question_id}\t{self.positive_id}\t{self.negative_id}"
 
 
 @dataclass(frozen=True)
@@ -67,8 +63,3 @@ def shuffle_triples(triples: list[TrainingTriple], seed: int) -> list[TrainingTr
     """Deterministic permutation of the triples list."""
     rng = DeterministicRng(seed, stream=_SHUFFLE_STREAM)
     return [triples[i] for i in rng.shuffled_indices(len(triples))]
-
-
-def write_triples_tsv(triples: list[TrainingTriple], stream: IO[str]) -> None:
-    for t in triples:
-        stream.write(t.to_tsv() + "\n")

@@ -1,11 +1,26 @@
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pairrank
+from pairrank import metrics
 from pairrank.cli import main
-from pairrank.corpus import write_canonical
+from pairrank.corpus import filter_evaluable, write_canonical
+from pairrank.harness import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    build_training_vocab,
+    save_checkpoint,
+)
+from pairrank.model import ModelConfig, forward, init_params
+from pairrank.textenc import encode_pair
 
-from conftest import make_separable_corpus
+from conftest import make_random_dataset, make_separable_corpus
 
 TRAIN_CONFIG = {
     "model": {"hidden_size": 16, "num_layers": 1, "num_heads": 2, "ffn_size": 32,
@@ -121,3 +136,142 @@ def test_eval_vocab_mismatch_is_data_error(workspace, tmp_path):
                  "--vocab", str(bad_vocab),
                  "--data", str(workspace / "dev.jsonl")])
     assert code == 2
+
+
+@pytest.fixture
+def model_files(workspace):
+    """An untrained checkpoint and vocabulary for the workspace corpora."""
+    vocab = build_training_vocab(make_separable_corpus(8, num_neg=2, seed=1))
+    params = init_params(ModelConfig(vocab_size=len(vocab), **TRAIN_CONFIG["model"]))
+    ckpt, vocab_path = workspace / "init.ckpt", workspace / "init_vocab.txt"
+    with open(ckpt, "wb") as f:
+        save_checkpoint(params, f)
+    with open(vocab_path, "w", encoding="utf-8") as f:
+        vocab.save(f)
+    return ckpt, vocab_path, params, vocab
+
+
+def count_forwarded_pairs(monkeypatch) -> list[int]:
+    """Patch the scoring path's forward to record each call's batch size."""
+    sizes: list[int] = []
+
+    def counting_forward(params, batch, *args, **kwargs):
+        sizes.append(len(batch))
+        return forward(params, batch, *args, **kwargs)
+    monkeypatch.setattr(metrics, "forward", counting_forward)
+    return sizes
+
+
+def run_eval(model_files, workspace, capsys):
+    ckpt, vocab_path, _, _ = model_files
+    data = make_random_dataset(12, seed=2)  # three questions have no positive
+    with open(workspace / "rand.jsonl", "w") as f:
+        write_canonical(data, f)
+    run_file = workspace / "rand.trec"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                 "--data", str(workspace / "rand.jsonl"), "--run-file", str(run_file)]) == 0
+    runs: dict[str, list[tuple[str, int, str]]] = {}
+    for line in run_file.read_text().splitlines():
+        qid, _, aid, rank, score, _ = line.split()
+        runs.setdefault(qid, []).append((aid, int(rank), score))
+    return data, json.loads(capsys.readouterr().out), runs
+
+
+def test_eval_run_file_forwards_each_kept_pair_once(model_files, workspace, capsys, monkeypatch):
+    sizes = count_forwarded_pairs(monkeypatch)
+    data, report, _ = run_eval(model_files, workspace, capsys)
+    kept = filter_evaluable(data, "require_positive")
+    assert report["num_questions_skipped"] > 0
+    assert sum(sizes) == sum(len(q.candidates) for q in kept.questions)
+
+
+def test_eval_run_file_matches_report(model_files, workspace, capsys):
+    _, _, params, vocab = model_files
+    data, report, runs = run_eval(model_files, workspace, capsys)
+    expected = metrics.evaluate(params, vocab, data).rankings
+    assert list(runs) == [r.question_id for r in expected] \
+        == [r["question_id"] for r in report["per_question"]]
+    labels = {(q.question_id, c.answer_id): c.label for q in data.questions for c in q.candidates}
+    for ranked, result in zip(expected, report["per_question"]):
+        run = runs[ranked.question_id]
+        assert run == [(aid, rank, f"{score:.6f}")
+                       for rank, (aid, score, _) in enumerate(ranked.entries, start=1)]
+        first_hit = next(rank for aid, rank, _ in run if labels[ranked.question_id, aid])
+        assert result["reciprocal_rank"] == 1.0 / first_hit
+
+
+def test_rank_scores_all_answers_in_one_forward(model_files, workspace, capsys, monkeypatch):
+    ckpt, vocab_path, params, vocab = model_files
+    question = "question word1 word2"
+    answers = [f"word{i % 30} word{(i * 7) % 30}" + (" zmarker" * (i % 3)) for i in range(63)]
+    answers.append(answers[5])  # a duplicate answer, so two scores tie
+    (workspace / "answers.txt").write_text("\n".join(answers) + "\n")
+    sizes = count_forwarded_pairs(monkeypatch)
+    capsys.readouterr()
+    assert main(["rank", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                 "--question", question, "--answers", str(workspace / "answers.txt")]) == 0
+    assert sizes == [64]
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert [int(rank) for rank, _, _ in lines] == list(range(1, 65))
+    assert sorted(answer for _, _, answer in lines) == sorted(answers)
+    scores = [float(score) for _, score, _ in lines]
+    assert scores == sorted(scores, reverse=True)
+    for _, score, answer in lines:
+        alone, _ = forward(params, [encode_pair(vocab, question, answer,
+                                                max_len=params.config.max_len)])
+        assert abs(float(score) - float(alone[0])) <= 1e-6
+
+
+def rewrite_checkpoint(src: Path, dst: Path, edit_header=lambda h: h, trailing=b"") -> None:
+    data = src.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 8
+    _, header_len = struct.unpack("<II", data[len(CHECKPOINT_MAGIC):start])
+    header = json.dumps(edit_header(json.loads(data[start:start + header_len]))).encode()
+    dst.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header))
+                    + header + data[start + header_len:] + trailing)
+
+
+def train_with_config(ws: Path, config: dict) -> list[str]:
+    (ws / "bad_config.json").write_text(json.dumps(config))
+    return ["train", "--train", str(ws / "train.jsonl"), "--config", str(ws / "bad_config.json"),
+            "--out-dir", str(ws / "bad_run")]
+
+
+def eval_with_checkpoint(ws: Path, **rewrite) -> list[str]:
+    rewrite_checkpoint(ws / "init.ckpt", ws / "bad.ckpt", **rewrite)
+    return ["eval", "--checkpoint", str(ws / "bad.ckpt"), "--vocab", str(ws / "init_vocab.txt"),
+            "--data", str(ws / "dev.jsonl")]
+
+
+def stats_non_utf8(ws: Path) -> list[str]:
+    (ws / "latin1.jsonl").write_bytes(
+        '{"question_id": "q1", "question_text": "caf\u00e9", "candidates": []}\n'.encode("latin-1"))
+    return ["stats", "--in", str(ws / "latin1.jsonl")]
+
+
+# malformed input -> (argv builder, expected exit code): 1 usage, 2 data
+MALFORMED = {
+    "config-unknown-key": (lambda ws: train_with_config(ws, {**TRAIN_CONFIG, "bogus": 1}), 1),
+    "config-unknown-model-key": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "model": {**TRAIN_CONFIG["model"], "bogus": 1}}), 1),
+    "config-unknown-loss-key": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "loss": {"bogus": 1}}), 1),
+    "checkpoint-unknown-header-key": (lambda ws: eval_with_checkpoint(
+        ws, edit_header=lambda h: {**h, "bogus": 1}), 2),
+    "checkpoint-missing-header-key": (lambda ws: eval_with_checkpoint(
+        ws, edit_header=lambda h: {k: v for k, v in h.items() if k != "vocab_size"}), 2),
+    "checkpoint-trailing-bytes": (lambda ws: eval_with_checkpoint(ws, trailing=b"\0" * 4), 2),
+    "corpus-not-utf8": (stats_non_utf8, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_exit_code(case, model_files, workspace):
+    build_argv, expected = MALFORMED[case]
+    env = dict(os.environ, PYTHONPATH=str(Path(pairrank.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "pairrank", *build_argv(workspace)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -9,7 +9,6 @@ from pairrank.model import (
     init_params,
     num_params,
     param_layout,
-    score_pair,
 )
 from pairrank.textenc import EncodedPair, build_vocab, encode_pair
 
@@ -137,15 +136,6 @@ def test_padding_invariance(tiny_setup):
     )
     s_cor, _ = forward(params, [corrupted])
     assert s_cor[0] == pytest.approx(s_ref[0], abs=1e-12)
-
-
-def test_score_pair_matches_forward(tiny_setup):
-    cfg, params, vocab = tiny_setup
-    pair = encode_pair(vocab, "who wrote hamlet", "shakespeare wrote it",
-                       max_len=cfg.max_len)
-    scores, _ = forward(params, [pair])
-    assert score_pair(params, vocab, "who wrote hamlet", "shakespeare wrote it") \
-        == pytest.approx(float(scores[0]), abs=0)
 
 
 def test_backward_zero_grads(tiny_setup):

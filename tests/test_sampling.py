@@ -1,15 +1,7 @@
-import io
-
 import pytest
 
 from pairrank.corpus import CandidateAnswer, Dataset, Question, compute_stats
-from pairrank.sampling import (
-    SamplingConfig,
-    TrainingTriple,
-    generate_triples,
-    shuffle_triples,
-    write_triples_tsv,
-)
+from pairrank.sampling import SamplingConfig, generate_triples, shuffle_triples
 
 from conftest import make_random_dataset
 
@@ -100,9 +92,3 @@ def test_invalid_config():
         SamplingConfig(strategy="nope")
     with pytest.raises(ValueError):
         SamplingConfig(k=0)
-
-
-def test_triples_tsv():
-    buf = io.StringIO()
-    write_triples_tsv([TrainingTriple("q1", "p1", "n1")], buf)
-    assert buf.getvalue() == "q1\tp1\tn1\n"
