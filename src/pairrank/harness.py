@@ -158,6 +158,8 @@ def load_checkpoint(stream: IO[bytes]) -> ModelParams:
     if stream.read(1):
         raise CheckpointError("trailing bytes after checkpoint parameters")
     flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    if not np.all(np.isfinite(flat)):
+        raise CheckpointError("non-finite checkpoint parameters")
     return ModelParams(config, flat)
 
 

@@ -11,6 +11,16 @@ bidirectional encoder this is modeled after): multi-head self-attention
 with padding masked before the softmax, residual, layer norm, then a GELU
 feed-forward, residual, layer norm. The score is sigmoid(w . h_cls + b) on
 the raw hidden state at position 0.
+
+Only what the score reads is computed. A batch is trimmed after its last
+real position: PAD keys are masked and PAD rows never reach [CLS], so their
+gradient is zero. Every layer takes all T rows as keys and values, but the
+last layer computes queries, attention, context, output projection, both
+layer norms and the FFN for the [CLS] row alone (its cached ``attn`` holds
+one query row). Dropout masks are taken from a draw over the full
+(B, A, max_len, max_len) and (B, max_len, ffn_size) layouts at the offsets
+in use (``DeterministicRng.uniform_at``), so each entry equals the one a
+full draw gives and does not depend on the trim.
 """
 
 from __future__ import annotations
@@ -152,11 +162,11 @@ def zero_gradients(config: ModelConfig) -> ModelParams:
 
 def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """tanh-approximation GELU; returns (value, derivative)."""
-    u = _GELU_C * (x + _GELU_A * x ** 3)
-    t = np.tanh(u)
+    x2 = x * x
+    t = np.tanh(_GELU_C * (x + _GELU_A * x2 * x))
     value = 0.5 * x * (1.0 + t)
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
-    deriv = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
+    deriv = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
     return value, deriv
 
 
@@ -179,18 +189,41 @@ def _layer_norm_backward(dy: np.ndarray, gain: np.ndarray, cache) -> tuple[np.nd
     return dx, d_gain, d_bias
 
 
-def _dropout_mask(rng: DeterministicRng, shape: tuple[int, ...], rate: float) -> np.ndarray:
-    keep = rng.uniform(int(np.prod(shape))).reshape(shape) >= rate
+def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sum over all leading axes of outer(x, dy): the gradient of ``x @ w``."""
+    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+
+
+def _embedding_grad(ids: np.ndarray, dx: np.ndarray, rows: int) -> np.ndarray:
+    """Rows of ``dx`` summed per id into a (rows, H) table (np.add.at, bit for bit)."""
+    flat_ids = ids.ravel()
+    d = dx.reshape(flat_ids.size, -1)
+    return np.stack([np.bincount(flat_ids, weights=d[:, j], minlength=rows)
+                     for j in range(d.shape[1])], axis=1)
+
+
+def _dropout_mask(rng: DeterministicRng, shape: tuple[int, ...],
+                  full_shape: tuple[int, ...], rate: float) -> np.ndarray:
+    """Scaled keep mask for the leading ``shape`` corner of a ``full_shape`` draw.
+
+    Each entry is the one a mask drawn over all of ``full_shape`` would have
+    at that index, and the stream advances past the whole ``full_shape``, so
+    masks do not depend on how much of the layout a batch computes.
+    """
+    offsets = np.ravel_multi_index(np.ix_(*map(np.arange, shape)), full_shape)
+    keep = rng.uniform_at(offsets, int(np.prod(full_shape))) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
 
 
 def _stack_batch(batch: Sequence[EncodedPair], max_len: int):
+    """Stack a batch and trim it after its last real (non-PAD) position."""
     ids = np.stack([p.token_ids for p in batch])
     segs = np.stack([p.segment_ids for p in batch])
     mask = np.stack([p.attention_mask for p in batch])
     if ids.shape[1] != max_len:
         raise ValueError(f"encoded length {ids.shape[1]} != config.max_len {max_len}")
-    return ids, segs, mask
+    T = max_len - int(np.argmax(mask.any(axis=0)[::-1]))
+    return ids[:, :T], segs[:, :T], mask[:, :T]
 
 
 def forward(params: ModelParams, batch: Sequence[EncodedPair],
@@ -205,7 +238,7 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
     cfg = params.config
     ids, segs, mask = _stack_batch(batch, cfg.max_len)
     B, T = ids.shape
-    H, A = cfg.hidden_size, cfg.num_heads
+    H, A, F, M = cfg.hidden_size, cfg.num_heads, cfg.ffn_size, cfg.max_len
     dh = H // A
     scale = 1.0 / np.sqrt(dh)
 
@@ -219,8 +252,11 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
     layers = []
     for l in range(cfg.num_layers):
         p = lambda s: params[f"layer{l}.{s}"]
+        # query rows: every position feeds the next layer, only [CLS] feeds the head
+        Tq = 1 if l == cfg.num_layers - 1 else T
         x_in = x
-        q = (x_in @ p("attn.wq") + p("attn.bq")).reshape(B, T, A, dh).transpose(0, 2, 1, 3)
+        x_q = x_in[:, :Tq]
+        q = (x_q @ p("attn.wq") + p("attn.bq")).reshape(B, Tq, A, dh).transpose(0, 2, 1, 3)
         k = (x_in @ p("attn.wk") + p("attn.bk")).reshape(B, T, A, dh).transpose(0, 2, 1, 3)
         v = (x_in @ p("attn.wv") + p("attn.bv")).reshape(B, T, A, dh).transpose(0, 2, 1, 3)
         logits = q @ k.transpose(0, 1, 3, 2) * scale + add_mask
@@ -228,19 +264,19 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
         e = np.exp(logits)
         attn = e / e.sum(axis=-1, keepdims=True)
         if use_dropout:
-            attn_mask_drop = _dropout_mask(rng, attn.shape, cfg.dropout_rate)
+            attn_mask_drop = _dropout_mask(rng, attn.shape, (B, A, M, M), cfg.dropout_rate)
             attn_used = attn * attn_mask_drop
         else:
             attn_mask_drop = None
             attn_used = attn
-        ctx = (attn_used @ v).transpose(0, 2, 1, 3).reshape(B, T, H)
+        ctx = (attn_used @ v).transpose(0, 2, 1, 3).reshape(B, Tq, H)
         att_out = ctx @ p("attn.wo") + p("attn.bo")
-        r1 = x_in + att_out
+        r1 = x_q + att_out
         y1, ln1_cache = _layer_norm(r1, p("ln1.gain"), p("ln1.bias"))
         pre_act = y1 @ p("ffn.w1") + p("ffn.b1")
         h_act, gelu_deriv = _gelu(pre_act)
         if use_dropout:
-            ffn_mask_drop = _dropout_mask(rng, h_act.shape, cfg.dropout_rate)
+            ffn_mask_drop = _dropout_mask(rng, h_act.shape, (B, M, F), cfg.dropout_rate)
             h_used = h_act * ffn_mask_drop
         else:
             ffn_mask_drop = None
@@ -282,36 +318,37 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
     d_logit = g * scores * (1.0 - scores)
     grads.tensors["head.w"][...] = cache["h_cls"].T @ d_logit
     grads.tensors["head.b"][...] = d_logit.sum()
-    dx = np.zeros((B, T, H))
-    dx[:, 0, :] = d_logit[:, None] * params["head.w"]
+    dx = (d_logit[:, None] * params["head.w"])[:, None, :]  # the [CLS] row, (B, 1, H)
 
     for l in reversed(range(cfg.num_layers)):
         p = lambda s: params[f"layer{l}.{s}"]
         gr = lambda s: grads.tensors[f"layer{l}.{s}"]
         c = cache["layers"][l]
+        Tq = c["q"].shape[2]
 
         dr2, dg2, db2 = _layer_norm_backward(dx, p("ln2.gain"), c["ln2_cache"])
         gr("ln2.gain")[...] = dg2
         gr("ln2.bias")[...] = db2
         dy1 = dr2.copy()          # residual branch
         df = dr2                  # FFN branch
-        gr("ffn.w2")[...] = np.einsum("btf,bth->fh", c["h_used"], df)
+        gr("ffn.w2")[...] = _weight_grad(c["h_used"], df)
         gr("ffn.b2")[...] = df.sum(axis=(0, 1))
         dh_used = df @ p("ffn.w2").T
         dh_act = dh_used * c["ffn_mask_drop"] if c["ffn_mask_drop"] is not None else dh_used
         d_pre = dh_act * c["gelu_deriv"]
-        gr("ffn.w1")[...] = np.einsum("bth,btf->hf", c["y1"], d_pre)
+        gr("ffn.w1")[...] = _weight_grad(c["y1"], d_pre)
         gr("ffn.b1")[...] = d_pre.sum(axis=(0, 1))
         dy1 += d_pre @ p("ffn.w1").T
 
         dr1, dg1, db1 = _layer_norm_backward(dy1, p("ln1.gain"), c["ln1_cache"])
         gr("ln1.gain")[...] = dg1
         gr("ln1.bias")[...] = db1
-        dx_in = dr1.copy()        # residual branch
+        dx_in = np.zeros((B, T, H))
+        dx_in[:, :Tq] = dr1       # residual branch (query rows only)
         datt_out = dr1            # attention branch
-        gr("attn.wo")[...] = np.einsum("bth,btg->hg", c["ctx"], datt_out)
+        gr("attn.wo")[...] = _weight_grad(c["ctx"], datt_out)
         gr("attn.bo")[...] = datt_out.sum(axis=(0, 1))
-        dctx = (datt_out @ p("attn.wo").T).reshape(B, T, A, dh).transpose(0, 2, 1, 3)
+        dctx = (datt_out @ p("attn.wo").T).reshape(B, Tq, A, dh).transpose(0, 2, 1, 3)
 
         d_attn_used = dctx @ c["v"].transpose(0, 1, 3, 2)
         dv = c["attn_used"].transpose(0, 1, 3, 2) @ dctx
@@ -322,16 +359,18 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
         dq = d_logits @ c["k"] * scale
         dk = d_logits.transpose(0, 1, 3, 2) @ c["q"] * scale
 
-        # the three input projections share the same backward shape
+        # the three input projections share the same backward shape; Q reads
+        # the query rows, K and V read every row
         for name, dhead in (("q", dq), ("k", dk), ("v", dv)):
-            d_proj = dhead.transpose(0, 2, 1, 3).reshape(B, T, H)
-            gr(f"attn.w{name}")[...] = np.einsum("bth,btg->hg", c["x_in"], d_proj)
+            rows = dhead.shape[2]
+            d_proj = dhead.transpose(0, 2, 1, 3).reshape(B, rows, H)
+            gr(f"attn.w{name}")[...] = _weight_grad(c["x_in"][:, :rows], d_proj)
             gr(f"attn.b{name}")[...] = d_proj.sum(axis=(0, 1))
-            dx_in += d_proj @ p(f"attn.w{name}").T
+            dx_in[:, :rows] += d_proj @ p(f"attn.w{name}").T
         dx = dx_in
 
     ids, segs = cache["ids"], cache["segs"]
-    np.add.at(grads.tensors["tok_emb"], ids, dx)
+    grads.tensors["tok_emb"][...] = _embedding_grad(ids, dx, cfg.vocab_size)
     grads.tensors["pos_emb"][:T] += dx.sum(axis=0)
-    np.add.at(grads.tensors["seg_emb"], segs, dx)
+    grads.tensors["seg_emb"][...] = _embedding_grad(segs, dx, 2)
     return grads

@@ -34,6 +34,11 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _unit(u: np.ndarray) -> np.ndarray:
+    """Doubles uniform on [0, 1) from the top 53 bits of raw outputs."""
+    return (u >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
 class DeterministicRng:
     """Seedable stream of uint64s / doubles with reproducible bulk draws.
 
@@ -45,15 +50,32 @@ class DeterministicRng:
         self._key = _mix64(_mix64(seed & _MASK64) ^ ((stream * _GOLDEN_GAMMA) & _MASK64))
         self._counter = 0
 
+    def _outputs(self, idx: np.ndarray) -> np.ndarray:
+        """Raw outputs at 1-based counter positions ``idx`` (uint64)."""
+        return _mix64_array(np.uint64(self._key) + idx * np.uint64(_GOLDEN_GAMMA))
+
     def next_u64(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        return _mix64_array(np.uint64(self._key) + idx * np.uint64(_GOLDEN_GAMMA))
+        return self._outputs(idx)
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1), using the top 53 bits."""
-        return (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        return _unit(self.next_u64(n))
+
+    def uniform_at(self, offsets: np.ndarray, advance: int) -> np.ndarray:
+        """The draws of ``uniform(advance)`` at ``offsets`` (same shape), bit for bit.
+
+        Only the requested outputs are computed; the counter then advances
+        by ``advance``, exactly as ``uniform(advance)`` would.
+        """
+        offsets = np.asarray(offsets)
+        if offsets.size and (offsets.min() < 0 or offsets.max() >= advance):
+            raise ValueError(f"offsets must lie in [0, {advance})")
+        idx = offsets.astype(np.uint64) + np.uint64(self._counter + 1)
+        self._counter += advance
+        return _unit(self._outputs(idx))
 
     def truncated_normal(self, n: int, cutoff: float = 2.0) -> np.ndarray:
         """``n`` standard-normal draws rejected outside +/- ``cutoff``."""
@@ -75,16 +97,16 @@ class DeterministicRng:
     def shuffled_indices(self, n: int) -> list[int]:
         """A permutation of range(n) via Fisher-Yates."""
         idx = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = int(self.uniform(1)[0] * (i + 1))
+        for i, ui in zip(range(n - 1, 0, -1), self.uniform(max(n - 1, 0))):
+            j = int(ui * (i + 1))
             idx[i], idx[j] = idx[j], idx[i]
         return idx
 
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), partial Fisher-Yates, unsorted."""
         idx = list(range(n))
-        k = min(k, n)
-        for i in range(k):
-            j = i + int(self.uniform(1)[0] * (n - i))
+        k = max(min(k, n), 0)
+        for i, ui in enumerate(self.uniform(k)):
+            j = i + int(ui * (n - i))
             idx[i], idx[j] = idx[j], idx[i]
         return idx[:k]

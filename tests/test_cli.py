@@ -223,13 +223,14 @@ def test_rank_scores_all_answers_in_one_forward(model_files, workspace, capsys, 
         assert abs(float(score) - float(alone[0])) <= 1e-6
 
 
-def rewrite_checkpoint(src: Path, dst: Path, edit_header=lambda h: h, trailing=b"") -> None:
+def rewrite_checkpoint(src: Path, dst: Path, edit_header=lambda h: h, edit_params=lambda b: b,
+                       trailing=b"") -> None:
     data = src.read_bytes()
     start = len(CHECKPOINT_MAGIC) + 8
     _, header_len = struct.unpack("<II", data[len(CHECKPOINT_MAGIC):start])
     header = json.dumps(edit_header(json.loads(data[start:start + header_len]))).encode()
     dst.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header))
-                    + header + data[start + header_len:] + trailing)
+                    + header + edit_params(data[start + header_len:]) + trailing)
 
 
 def train_with_config(ws: Path, config: dict) -> list[str]:
@@ -262,6 +263,9 @@ MALFORMED = {
     "checkpoint-missing-header-key": (lambda ws: eval_with_checkpoint(
         ws, edit_header=lambda h: {k: v for k, v in h.items() if k != "vocab_size"}), 2),
     "checkpoint-trailing-bytes": (lambda ws: eval_with_checkpoint(ws, trailing=b"\0" * 4), 2),
+    # the parameters start with tok_emb, so this puts one NaN into tok_emb[0, 0]
+    "checkpoint-nan-parameter": (lambda ws: eval_with_checkpoint(
+        ws, edit_params=lambda b: struct.pack("<f", float("nan")) + b[4:]), 2),
     "corpus-not-utf8": (stats_non_utf8, 2),
 }
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pairrank.model import (
+    _DROPOUT_STREAM,
     ModelConfig,
     ModelParams,
     backward,
@@ -10,6 +11,7 @@ from pairrank.model import (
     num_params,
     param_layout,
 )
+from pairrank.rng import DeterministicRng
 from pairrank.textenc import EncodedPair, build_vocab, encode_pair
 
 TINY = ModelConfig(vocab_size=20, hidden_size=16, num_layers=2, num_heads=2,
@@ -207,3 +209,179 @@ def test_finite_params_check(tiny_setup):
     bad.flat[0] = np.nan
     with pytest.raises(FloatingPointError):
         bad.assert_finite()
+
+
+# --- reference: every layer over all max_len rows, dropout drawn in full -----
+
+def _ref_gelu(x):
+    u = 0.7978845608028654 * (x + 0.044715 * x ** 3)
+    t = np.tanh(u)
+    du = 0.7978845608028654 * (1.0 + 3.0 * 0.044715 * x ** 2)
+    return 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du
+
+
+def _ref_layer_norm(x, gain, bias):
+    mu = x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-12)
+    xhat = (x - mu) * inv_std
+    return gain * xhat + bias, (xhat, inv_std)
+
+
+def _ref_layer_norm_backward(dy, gain, cache):
+    xhat, inv_std = cache
+    dxhat = dy * gain
+    dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return dx, (dy * xhat).sum(axis=(0, 1)), dy.sum(axis=(0, 1))
+
+
+def _ref_dropout_mask(rng, shape, rate):
+    keep = rng.uniform(int(np.prod(shape))).reshape(shape) >= rate
+    return keep.astype(np.float64) / (1.0 - rate)
+
+
+def ref_forward(params, batch, train_mode=False, dropout_seed=0):
+    cfg = params.config
+    ids = np.stack([p.token_ids for p in batch])
+    segs = np.stack([p.segment_ids for p in batch])
+    mask = np.stack([p.attention_mask for p in batch])
+    B, T = ids.shape
+    H, A = cfg.hidden_size, cfg.num_heads
+    dh = H // A
+    scale = 1.0 / np.sqrt(dh)
+    rng = DeterministicRng(dropout_seed, stream=_DROPOUT_STREAM)
+    use_dropout = train_mode and cfg.dropout_rate > 0.0
+    x = params["tok_emb"][ids] + params["pos_emb"][:T] + params["seg_emb"][segs]
+    add_mask = np.where(mask[:, None, None, :] == 1, 0.0, -np.inf)
+    layers = []
+    for l in range(cfg.num_layers):
+        p = lambda s: params[f"layer{l}.{s}"]
+        x_in = x
+        q, k, v = ((x_in @ p(f"attn.w{n}") + p(f"attn.b{n}")).reshape(B, T, A, dh)
+                   .transpose(0, 2, 1, 3) for n in "qkv")
+        logits = q @ k.transpose(0, 1, 3, 2) * scale + add_mask
+        logits -= logits.max(axis=-1, keepdims=True)
+        e = np.exp(logits)
+        attn = e / e.sum(axis=-1, keepdims=True)
+        attn_drop = _ref_dropout_mask(rng, attn.shape, cfg.dropout_rate) if use_dropout else None
+        attn_used = attn * attn_drop if use_dropout else attn
+        ctx = (attn_used @ v).transpose(0, 2, 1, 3).reshape(B, T, H)
+        y1, ln1 = _ref_layer_norm(x_in + ctx @ p("attn.wo") + p("attn.bo"),
+                                  p("ln1.gain"), p("ln1.bias"))
+        h_act, gelu_deriv = _ref_gelu(y1 @ p("ffn.w1") + p("ffn.b1"))
+        ffn_drop = _ref_dropout_mask(rng, h_act.shape, cfg.dropout_rate) if use_dropout else None
+        h_used = h_act * ffn_drop if use_dropout else h_act
+        x, ln2 = _ref_layer_norm(y1 + h_used @ p("ffn.w2") + p("ffn.b2"),
+                                 p("ln2.gain"), p("ln2.bias"))
+        layers.append(dict(x_in=x_in, q=q, k=k, v=v, attn=attn, attn_drop=attn_drop,
+                           attn_used=attn_used, ctx=ctx, ln1=ln1, y1=y1,
+                           gelu_deriv=gelu_deriv, h_used=h_used, ffn_drop=ffn_drop, ln2=ln2))
+    h_cls = x[:, 0, :]
+    scores = 1.0 / (1.0 + np.exp(-(h_cls @ params["head.w"] + params["head.b"])))
+    return scores, dict(ids=ids, segs=segs, layers=layers, h_cls=h_cls, scores=scores)
+
+
+def ref_backward(params, cache, score_grads):
+    cfg = params.config
+    scores = cache["scores"]
+    grads = ModelParams(cfg, np.zeros(num_params(cfg)))
+    B, T = cache["ids"].shape
+    H, A = cfg.hidden_size, cfg.num_heads
+    dh = H // A
+    scale = 1.0 / np.sqrt(dh)
+    d_logit = np.asarray(score_grads) * scores * (1.0 - scores)
+    grads["head.w"][...] = cache["h_cls"].T @ d_logit
+    grads["head.b"][...] = d_logit.sum()
+    dx = np.zeros((B, T, H))
+    dx[:, 0, :] = d_logit[:, None] * params["head.w"]
+    for l in reversed(range(cfg.num_layers)):
+        p = lambda s: params[f"layer{l}.{s}"]
+        gr = lambda s: grads[f"layer{l}.{s}"]
+        c = cache["layers"][l]
+        dr2, gr("ln2.gain")[...], gr("ln2.bias")[...] = _ref_layer_norm_backward(
+            dx, p("ln2.gain"), c["ln2"])
+        gr("ffn.w2")[...] = np.einsum("btf,bth->fh", c["h_used"], dr2)
+        gr("ffn.b2")[...] = dr2.sum(axis=(0, 1))
+        dh_act = dr2 @ p("ffn.w2").T
+        if c["ffn_drop"] is not None:
+            dh_act = dh_act * c["ffn_drop"]
+        d_pre = dh_act * c["gelu_deriv"]
+        gr("ffn.w1")[...] = np.einsum("bth,btf->hf", c["y1"], d_pre)
+        gr("ffn.b1")[...] = d_pre.sum(axis=(0, 1))
+        dr1, gr("ln1.gain")[...], gr("ln1.bias")[...] = _ref_layer_norm_backward(
+            dr2 + d_pre @ p("ffn.w1").T, p("ln1.gain"), c["ln1"])
+        gr("attn.wo")[...] = np.einsum("bth,btg->hg", c["ctx"], dr1)
+        gr("attn.bo")[...] = dr1.sum(axis=(0, 1))
+        dctx = (dr1 @ p("attn.wo").T).reshape(B, T, A, dh).transpose(0, 2, 1, 3)
+        d_attn = dctx @ c["v"].transpose(0, 1, 3, 2)
+        dv = c["attn_used"].transpose(0, 1, 3, 2) @ dctx
+        if c["attn_drop"] is not None:
+            d_attn = d_attn * c["attn_drop"]
+        attn = c["attn"]
+        d_logits = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+        dq = d_logits @ c["k"] * scale
+        dk = d_logits.transpose(0, 1, 3, 2) @ c["q"] * scale
+        dx = dr1.copy()
+        for name, dhead in (("q", dq), ("k", dk), ("v", dv)):
+            d_proj = dhead.transpose(0, 2, 1, 3).reshape(B, T, H)
+            gr(f"attn.w{name}")[...] = np.einsum("bth,btg->hg", c["x_in"], d_proj)
+            gr(f"attn.b{name}")[...] = d_proj.sum(axis=(0, 1))
+            dx += d_proj @ p(f"attn.w{name}").T
+    np.add.at(grads["tok_emb"], cache["ids"], dx)
+    grads["pos_emb"][:T] += dx.sum(axis=0)
+    np.add.at(grads["seg_emb"], cache["segs"], dx)
+    return grads
+
+
+def mixed_length_pairs(vocab, max_len=16):
+    texts = [
+        ("who wrote hamlet", "shakespeare wrote it"),
+        ("the play", "hamlet is the play who wrote it"),
+        ("the play", "paris"),
+        ("who wrote hamlet", "paris is in france"),
+    ]
+    return [encode_pair(vocab, q, a, max_len=max_len) for q, a in texts]
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_matches_full_row_reference(vocab, num_layers, train_mode):
+    cfg = ModelConfig(vocab_size=len(vocab), hidden_size=16, num_layers=num_layers,
+                      num_heads=2, ffn_size=32, max_len=16, dropout_rate=0.2, seed=3)
+    init = init_params(cfg)
+    # non-trivial biases and gains, so every parameter class carries gradient
+    params = ModelParams(cfg, init.flat + np.random.default_rng(1).normal(0, 0.05, init.flat.size))
+    pairs = mixed_length_pairs(vocab)
+    lengths = [int(p.attention_mask.sum()) for p in pairs]
+    assert len(set(lengths)) > 1 and max(lengths) < cfg.max_len  # the batch is trimmed
+    g = np.random.default_rng(2).normal(size=len(pairs))
+    scores, cache = forward(params, pairs, train_mode=train_mode, dropout_seed=5)
+    ref_scores, ref_cache = ref_forward(params, pairs, train_mode=train_mode, dropout_seed=5)
+    assert np.abs(scores - ref_scores).max() <= 1e-10
+    grads = backward(params, cache, g)
+    ref_grads = ref_backward(params, ref_cache, g)
+    for name, _, _ in param_layout(cfg):
+        assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-10, name
+    assert np.abs(ref_grads.flat).max() > 1e-3
+
+
+def test_uniform_at_matches_bulk_draw():
+    offsets = np.array([[0, 7, 3], [999, 500, 7]])
+    sparse, bulk = DeterministicRng(9, stream=4), DeterministicRng(9, stream=4)
+    sparse.uniform(5)
+    bulk.uniform(5)
+    assert np.array_equal(sparse.uniform_at(offsets, 1000), bulk.uniform(1000)[offsets])
+    assert np.array_equal(sparse.uniform(3), bulk.uniform(3))  # both advanced by 1000
+    with pytest.raises(ValueError):
+        sparse.uniform_at(np.array([10]), 10)
+
+
+def test_eval_score_independent_of_batch_mate_lengths(tiny_setup):
+    cfg, params, vocab = tiny_setup
+    pair = mixed_length_pairs(vocab)[2]
+    filler = encode_pair(vocab, "who wrote hamlet", "the play " * 20, max_len=cfg.max_len)
+    assert filler.attention_mask.all()
+    alone, _ = forward(params, [pair])
+    for mates in (mixed_length_pairs(vocab), [filler, filler]):
+        batched, _ = forward(params, [*mates, pair])
+        assert abs(batched[-1] - alone[0]) <= 1e-12

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from pairrank.corpus import CandidateAnswer, Dataset, Question, compute_stats
+from pairrank.rng import DeterministicRng
 from pairrank.sampling import SamplingConfig, generate_triples, shuffle_triples
 
 from conftest import make_random_dataset
@@ -85,6 +87,29 @@ def test_shuffle_deterministic_permutation():
     assert a == b
     assert sorted(map(str, a)) == sorted(map(str, triples))
     assert shuffle_triples(triples, seed=6) != a or len(triples) <= 1
+
+
+def test_bulk_draw_helpers_match_one_draw_per_element():
+    # one uniform(1) per element, as the helpers drew before they drew in bulk
+    def shuffled_ref(rng, n):
+        idx = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = int(rng.uniform(1)[0] * (i + 1))
+            idx[i], idx[j] = idx[j], idx[i]
+        return idx
+
+    def sample_ref(rng, n, k):
+        idx = list(range(n))
+        for i in range(min(k, n)):
+            j = i + int(rng.uniform(1)[0] * (n - i))
+            idx[i], idx[j] = idx[j], idx[i]
+        return idx[:min(k, n)]
+
+    for n, k in ((0, 1), (1, 1), (2, 5), (37, 4), (37, 37)):
+        fast, ref = DeterministicRng(3, stream=9), DeterministicRng(3, stream=9)
+        assert fast.shuffled_indices(n) == shuffled_ref(ref, n)
+        assert fast.sample_without_replacement(n, k) == sample_ref(ref, n, k)
+        assert np.array_equal(fast.uniform(2), ref.uniform(2))  # same number of draws
 
 
 def test_invalid_config():
