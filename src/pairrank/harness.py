@@ -10,6 +10,7 @@ config and data.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -32,10 +33,10 @@ CHECKPOINT_VERSION = 1
 
 
 class NumericalAbort(RuntimeError):
-    """Raised when the loss goes non-finite; carries the failing step."""
+    """Raised when the loss or a parameter goes non-finite; carries the failing step."""
 
     def __init__(self, step: int):
-        super().__init__(f"non-finite loss at step {step}")
+        super().__init__(f"non-finite loss or parameter at step {step}")
         self.step = step
 
 
@@ -62,8 +63,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        # every comparison with NaN is false, so NaN fails both checks
+        if not (0 < self.learning_rate < math.inf and 0 < self.adam_epsilon < math.inf):
+            raise ValueError("learning_rate and adam_epsilon must be finite and > 0")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise ValueError("adam_beta1 and adam_beta2 must be in [0, 1)")
         if self.batch_size < 1 or self.num_epochs < 1:
             raise ValueError("batch_size and num_epochs must be >= 1")
 
@@ -209,7 +213,8 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset | None = Non
                 raise NumericalAbort(step)
             grads = backward(params, cache, np.concatenate([d_yp, d_yn]))
             optimizer_step(params, grads, state, config)
-            params.assert_finite()
+            if not np.isfinite(params.flat).all():
+                raise NumericalAbort(step)
             step += 1
             history.steps.append((step, float(loss)))
             if dev_set is not None and config.eval_every > 0 and step % config.eval_every == 0:

@@ -118,14 +118,17 @@ def rank_dataset(params: ModelParams, vocab: Vocab, dataset: Dataset) -> list[Ra
     if params.config.vocab_size != len(vocab):
         raise ValueError(
             f"checkpoint vocab_size {params.config.vocab_size} != vocab size {len(vocab)}")
-    pairs = []
-    for q in dataset.questions:
-        for c in q.candidates:
-            pairs.append(encode_pair(vocab, q.text, c.text, max_len=params.config.max_len))
-    scores: list[float] = []
-    for start in range(0, len(pairs), BATCH_SIZE):
-        batch_scores, _ = forward(params, pairs[start:start + BATCH_SIZE], train_mode=False)
-        scores.extend(float(s) for s in batch_scores)
+    pairs = [encode_pair(vocab, q.text, c.text, max_len=params.config.max_len)
+             for q in dataset.questions for c in q.candidates]
+    # forward in order of packed length, so each batch trims to little padding;
+    # the sort is stable, so pairs of equal length keep their input order
+    order = sorted(range(len(pairs)), key=lambda i: int(pairs[i].attention_mask.sum()))
+    scores = [0.0] * len(pairs)
+    for start in range(0, len(order), BATCH_SIZE):
+        batch = order[start:start + BATCH_SIZE]
+        batch_scores, _ = forward(params, [pairs[i] for i in batch], train_mode=False)
+        for i, s in zip(batch, batch_scores):
+            scores[i] = float(s)
     rankings = []
     offset = 0
     for q in dataset.questions:

@@ -1,5 +1,9 @@
 """Tokenization, vocabulary, and packed (question, answer) pair encoding.
 
+Tokenizing is one ``str.translate`` that pads each punctuation or symbol
+character with spaces, then ``str.split``; a character's Unicode category is
+looked up once, the first time it is seen.
+
 Sequences follow the sentence-pair convention: position 0 holds the
 classification token, the question occupies segment 0 up to and including
 the first separator, the answer occupies segment 1 up to and including the
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 import numpy as np
@@ -21,55 +25,44 @@ RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]")
 MIN_MAX_LEN = 8
 
 
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch)[0] in ("P", "S")
+class _SplitTable(dict):
+    """``str.translate`` table: a punctuation or symbol character becomes
+    " ch ", so ``str.split`` makes it a token; any other character maps to
+    itself (never to None, which would delete it)."""
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        out = f" {ch} " if unicodedata.category(ch)[0] in "PS" else ch
+        self[code] = out
+        return out
+
+
+_TABLE = _SplitTable()
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, split punctuation/symbol chars off as single tokens."""
-    tokens: list[str] = []
-    word = []
-    for ch in text.lower():
-        if ch.isspace():
-            if word:
-                tokens.append("".join(word))
-                word = []
-        elif _is_punct(ch):
-            if word:
-                tokens.append("".join(word))
-                word = []
-            tokens.append(ch)
-        else:
-            word.append(ch)
-    if word:
-        tokens.append("".join(word))
-    return tokens
+    return text.lower().translate(_TABLE).split()
 
 
 @dataclass(frozen=True)
 class Vocab:
     tokens: tuple[str, ...]  # index == id; first four entries are reserved
+    ids: dict[str, int] = field(init=False, repr=False, compare=False)  # token -> id
 
     def __post_init__(self):
         if self.tokens[:4] != RESERVED_TOKENS:
             raise ValueError("first four vocab entries must be the reserved tokens")
+        object.__setattr__(self, "ids", {tok: i for i, tok in enumerate(self.tokens)})
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     def id_of(self, token: str) -> int:
-        return self._lookup().get(token, UNK_ID)
+        return self.ids.get(token, UNK_ID)
 
     def token_of(self, token_id: int) -> str:
         return self.tokens[token_id]
-
-    def _lookup(self) -> dict[str, int]:
-        # cached on the instance; frozen dataclass so stash via object.__setattr__
-        cache = getattr(self, "_cache", None)
-        if cache is None:
-            cache = {tok: i for i, tok in enumerate(self.tokens)}
-            object.__setattr__(self, "_cache", cache)
-        return cache
 
     def save(self, stream: IO[str]) -> None:
         for tok in self.tokens:
@@ -103,9 +96,6 @@ class EncodedPair:
     segment_ids: np.ndarray    # (max_len,) int64, 0 = question side, 1 = answer side
     attention_mask: np.ndarray  # (max_len,) int64, 1 on non-PAD positions
 
-    def __len__(self) -> int:
-        return len(self.token_ids)
-
 
 def encode_pair(vocab: Vocab, question: str, answer: str, max_len: int = 128) -> EncodedPair:
     """Pack a (question, answer) pair as [CLS] q [SEP] a [SEP] PAD...
@@ -122,14 +112,14 @@ def encode_pair(vocab: Vocab, question: str, answer: str, max_len: int = 128) ->
         keep_a = max(1 if a_tokens else 0, budget - len(q_tokens))
         a_tokens = a_tokens[:keep_a]
         q_tokens = q_tokens[:budget - len(a_tokens)]
-    ids = [CLS_ID] + [vocab.id_of(t) for t in q_tokens] + [SEP_ID] \
-        + [vocab.id_of(t) for t in a_tokens] + [SEP_ID]
-    segs = [0] * (2 + len(q_tokens)) + [1] * (len(a_tokens) + 1)
+    get = vocab.ids.get
+    ids = [CLS_ID, *[get(t, UNK_ID) for t in q_tokens], SEP_ID,
+           *[get(t, UNK_ID) for t in a_tokens], SEP_ID]
     n = len(ids)
     token_ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    segment_ids = np.zeros(max_len, dtype=np.int64)
-    mask = np.zeros(max_len, dtype=np.int64)
     token_ids[:n] = ids
-    segment_ids[:n] = segs
+    segment_ids = np.zeros(max_len, dtype=np.int64)
+    segment_ids[len(q_tokens) + 2:n] = 1
+    mask = np.zeros(max_len, dtype=np.int64)
     mask[:n] = 1
     return EncodedPair(token_ids=token_ids, segment_ids=segment_ids, attention_mask=mask)

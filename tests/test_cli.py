@@ -258,6 +258,11 @@ MALFORMED = {
         ws, {**TRAIN_CONFIG, "model": {**TRAIN_CONFIG["model"], "bogus": 1}}), 1),
     "config-unknown-loss-key": (lambda ws: train_with_config(
         ws, {**TRAIN_CONFIG, "loss": {"bogus": 1}}), 1),
+    # json writes these as Infinity and NaN, which json.load accepts
+    "config-infinite-learning-rate": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "learning_rate": float("inf")}), 1),
+    "config-nan-learning-rate": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "learning_rate": float("nan")}), 1),
     "checkpoint-unknown-header-key": (lambda ws: eval_with_checkpoint(
         ws, edit_header=lambda h: {**h, "bogus": 1}), 2),
     "checkpoint-missing-header-key": (lambda ws: eval_with_checkpoint(

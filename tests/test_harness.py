@@ -1,12 +1,15 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
+from pairrank import harness
 from pairrank.harness import (
     CHECKPOINT_MAGIC,
     CheckpointError,
+    NumericalAbort,
     OptimizerState,
     TrainConfig,
     load_checkpoint,
@@ -30,12 +33,13 @@ def tiny_train_config(**overrides) -> TrainConfig:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        tiny_train_config(num_epochs=0)
-    with pytest.raises(ValueError):
-        tiny_train_config(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        tiny_train_config(optimizer="rmsprop")
+    for bad in (dict(num_epochs=0), dict(optimizer="rmsprop"),
+                dict(learning_rate=0.0), dict(learning_rate=math.inf),
+                dict(learning_rate=math.nan), dict(adam_beta1=1.0), dict(adam_beta1=-0.1),
+                dict(adam_beta2=math.nan), dict(adam_epsilon=0.0),
+                dict(adam_epsilon=math.inf), dict(adam_epsilon=math.nan)):
+        with pytest.raises(ValueError):
+            tiny_train_config(**bad)
 
 
 def test_config_dict_roundtrip():
@@ -148,6 +152,20 @@ def test_train_records_dev_evals():
     assert len(history.evals) == 2  # once per epoch with eval_every=0
     for _, mrr, map_ in history.evals:
         assert 0.0 <= mrr <= 1.0 and 0.0 <= map_ <= 1.0
+
+
+def test_train_aborts_on_non_finite_parameter(monkeypatch):
+    real_step = harness.optimizer_step
+
+    def nan_on_third_step(params, grads, state, config):
+        real_step(params, grads, state, config)
+        if state.step == 3:
+            params.flat[5] = np.nan
+    monkeypatch.setattr(harness, "optimizer_step", nan_on_third_step)
+    ds = make_separable_corpus(6, num_neg=2, seed=3)
+    with pytest.raises(NumericalAbort) as info:
+        train(tiny_train_config(num_epochs=2), ds)
+    assert info.value.step == 2  # steps count from 0, as for a non-finite loss
 
 
 def test_train_rejects_tripleless_dataset():

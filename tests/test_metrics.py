@@ -2,21 +2,27 @@ import io
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairrank import metrics
 from pairrank.corpus import CandidateAnswer, Dataset, Question
 from pairrank.metrics import (
+    BATCH_SIZE,
     RankedList,
     average_precision,
     compute_report,
     rank_candidates,
+    rank_dataset,
     reciprocal_rank,
     write_trec_run,
 )
+from pairrank.model import ModelConfig, forward, init_params
+from pairrank.textenc import build_vocab, encode_pair
 
-from conftest import make_random_dataset
+from conftest import FILLERS, make_random_dataset
 
 
 def make_question(labels, qid="q"):
@@ -206,3 +212,91 @@ def test_report_json_keys():
                         "filter_mode", "per_question"}
     assert obj["num_questions_skipped"] == 2
     assert len(obj["per_question"]) == 5
+
+
+# -- length-sorted eval batches ---------------------------------------------
+
+MAX_LEN = 32
+
+
+def make_mixed_length_dataset(num_questions=20, max_len=MAX_LEN, seed=3) -> Dataset:
+    """Short answers mixed with answers that fill or overflow max_len, plus duplicates."""
+    rnd = random.Random(seed)
+    questions = []
+    for i in range(num_questions):
+        texts = []
+        for _ in range(rnd.randint(3, 9)):
+            n = rnd.randint(1, 5) if rnd.random() < 0.5 else rnd.randint(max_len - 8, 2 * max_len)
+            texts.append(" ".join(rnd.choice(FILLERS) for _ in range(n)))
+        texts.append(rnd.choice(texts))  # a duplicate candidate, so two scores tie
+        cands = tuple(CandidateAnswer(f"a{j}", t, rnd.random() < 0.3) for j, t in enumerate(texts))
+        qtext = " ".join(rnd.choice(FILLERS) for _ in range(rnd.randint(2, 8)))
+        questions.append(Question(f"q{i}", qtext, cands))
+    return Dataset(name="mixed", split="test", questions=tuple(questions))
+
+
+def one_question_dataset(num_answers=64) -> Dataset:
+    rnd = random.Random(9)
+    cands = tuple(CandidateAnswer(str(j), " ".join(rnd.choice(FILLERS)
+                                                   for _ in range(rnd.randint(1, 40))), False)
+                  for j in range(num_answers))
+    return Dataset(name="rank", split="test", questions=(Question("rank", "word1 word2", cands),))
+
+
+def scoring_model():
+    vocab = build_vocab(FILLERS[::2])  # half the fillers are out of vocabulary
+    cfg = ModelConfig(vocab_size=len(vocab), hidden_size=16, num_layers=2, num_heads=2,
+                      ffn_size=32, max_len=MAX_LEN, dropout_rate=0.1, seed=4)
+    return init_params(cfg), vocab
+
+
+def encode_all(vocab, dataset):
+    return [encode_pair(vocab, q.text, c.text, max_len=MAX_LEN)
+            for q in dataset.questions for c in q.candidates]
+
+
+def test_sorted_batches_match_pairs_scored_alone_and_input_order():
+    dataset = make_mixed_length_dataset()
+    params, vocab = scoring_model()
+    pairs = encode_all(vocab, dataset)
+    assert len(pairs) > BATCH_SIZE
+    lengths = {int(p.attention_mask.sum()) for p in pairs}
+    assert min(lengths) < 12 and MAX_LEN in lengths
+    # reference: batches of BATCH_SIZE in input order
+    unsorted = []
+    for start in range(0, len(pairs), BATCH_SIZE):
+        unsorted.extend(forward(params, pairs[start:start + BATCH_SIZE])[0].tolist())
+    rankings = rank_dataset(params, vocab, dataset)
+    offset = 0
+    for q, ranked in zip(dataset.questions, rankings):
+        index = {c.answer_id: offset + j for j, c in enumerate(q.candidates)}
+        for answer_id, score, _ in ranked.entries:
+            alone = float(forward(params, [pairs[index[answer_id]]])[0][0])
+            assert abs(score - alone) <= 1e-12
+        expected = rank_candidates(q, unsorted[offset:offset + len(q.candidates)])
+        assert [e[0] for e in ranked.entries] == [e[0] for e in expected.entries]
+        assert np.allclose([e[1] for e in ranked.entries], [e[1] for e in expected.entries],
+                           rtol=0, atol=1e-12)
+        offset += len(q.candidates)
+
+
+@pytest.mark.parametrize("dataset", [make_mixed_length_dataset(), one_question_dataset()],
+                         ids=["mixed-lengths", "rank-64-answers"])
+def test_sorted_batches_forward_each_pair_once_in_length_order(dataset, monkeypatch):
+    params, vocab = scoring_model()
+    batches = []
+
+    def recording_forward(params, batch, *args, **kwargs):
+        batches.append(list(batch))
+        return forward(params, batch, *args, **kwargs)
+    monkeypatch.setattr(metrics, "forward", recording_forward)
+    rank_dataset(params, vocab, dataset)
+    expected = encode_all(vocab, dataset)
+    assert len(batches) == -(-len(expected) // BATCH_SIZE)
+    forwarded = [p for batch in batches for p in batch]
+
+    def key(p):
+        return p.token_ids.tobytes(), p.segment_ids.tobytes()
+    assert sorted(map(key, forwarded)) == sorted(map(key, expected))
+    lengths = [int(p.attention_mask.sum()) for p in forwarded]
+    assert lengths == sorted(lengths)

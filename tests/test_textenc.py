@@ -1,7 +1,11 @@
 import io
+import random
+import unicodedata
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairrank.textenc import (
     CLS_ID,
@@ -136,3 +140,85 @@ def test_decode_reencode_roundtrip():
     assert np.array_equal(again.token_ids, pair.token_ids)
     assert np.array_equal(again.segment_ids, pair.segment_ids)
     assert np.array_equal(again.attention_mask, pair.attention_mask)
+
+
+# -- reference: the character-loop tokenizer and list-built encoder that the
+#    str.translate tokenizer and the dict lookup replaced ------------------
+
+def reference_tokenize(text):
+    tokens, word = [], []
+    for ch in text.lower():
+        if ch.isspace():
+            if word:
+                tokens.append("".join(word))
+                word = []
+        elif unicodedata.category(ch)[0] in ("P", "S"):
+            if word:
+                tokens.append("".join(word))
+                word = []
+            tokens.append(ch)
+        else:
+            word.append(ch)
+    if word:
+        tokens.append("".join(word))
+    return tokens
+
+
+def reference_encode_pair(vocab, question, answer, max_len):
+    q_tokens = reference_tokenize(question)
+    a_tokens = reference_tokenize(answer)
+    budget = max_len - 3
+    if len(q_tokens) + len(a_tokens) > budget:
+        keep_a = max(1 if a_tokens else 0, budget - len(q_tokens))
+        a_tokens = a_tokens[:keep_a]
+        q_tokens = q_tokens[:budget - len(a_tokens)]
+    lookup = {tok: i for i, tok in enumerate(vocab.tokens)}
+    ids = [CLS_ID] + [lookup.get(t, UNK_ID) for t in q_tokens] + [SEP_ID] \
+        + [lookup.get(t, UNK_ID) for t in a_tokens] + [SEP_ID]
+    segs = [0] * (2 + len(q_tokens)) + [1] * (len(a_tokens) + 1)
+    n = len(ids)
+    token_ids = np.full(max_len, PAD_ID, dtype=np.int64)
+    segment_ids = np.zeros(max_len, dtype=np.int64)
+    mask = np.zeros(max_len, dtype=np.int64)
+    token_ids[:n] = ids
+    segment_ids[:n] = segs
+    mask[:n] = 1
+    return token_ids, segment_ids, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_tokenize_matches_reference(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+@pytest.mark.parametrize("text", [
+    "a\x1cb\x1dc\x1ed\x1ff",            # information separators are whitespace
+    "one\x85two\xa0three\u2028four\u2029five\u3000six",
+    "price: $5 + 3 \u20ac = \u00a9 2020 \u2192 ok \U0001f600!",
+    "cafe\u0301 na\u0308ive \u0915\u094d\u0937",  # combining marks stay in the word
+    "\u0130stanbul \u0130",              # lowercase of U+0130 is two code points
+    "bell\x07 nul\x00 del\x7f esc\x1b",  # control characters that are not whitespace
+    "lone \ud800 surrogate\udfff",
+    "\u00bfQu\u00e9? \u00abdit\u00bb \u300c\u5f15\u7528\u300d \u2014 end\u2026",
+])
+def test_tokenize_matches_reference_on_edge_cases(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+@pytest.mark.parametrize("max_len", [8, 12, 16, 128])
+def test_encode_pair_matches_reference(max_len):
+    rnd = random.Random(max_len)
+    words = [f"w{i}" for i in range(40)] + ["?", "(", ")", "-", "\u00e9t\u00e9", "\u0130"]
+    vocab = build_vocab([" ".join(words[::2])])  # about half the words are out of vocabulary
+
+    def text(lo, hi):
+        return " ".join(rnd.choice(words) for _ in range(rnd.randint(lo, hi)))
+
+    for _ in range(200):
+        question, answer = text(0, 30), text(0, 150)
+        pair = encode_pair(vocab, question, answer, max_len=max_len)
+        expected = reference_encode_pair(vocab, question, answer, max_len)
+        for got, want in zip((pair.token_ids, pair.segment_ids, pair.attention_mask), expected):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
