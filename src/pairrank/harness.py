@@ -33,7 +33,7 @@ CHECKPOINT_VERSION = 1
 
 
 class NumericalAbort(RuntimeError):
-    """Raised when the loss or a parameter goes non-finite; carries the failing step."""
+    """Raised when the loss or a parameter goes non-finite; ``step`` counts from 1."""
 
     def __init__(self, step: int):
         super().__init__(f"non-finite loss or parameter at step {step}")
@@ -210,11 +210,11 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset | None = Non
             n = len(batch)
             loss, d_yp, d_yn = batch_loss(scores[:n], scores[n:], config.loss)
             if not np.isfinite(loss):
-                raise NumericalAbort(step)
+                raise NumericalAbort(step + 1)
             grads = backward(params, cache, np.concatenate([d_yp, d_yn]))
             optimizer_step(params, grads, state, config)
             if not np.isfinite(params.flat).all():
-                raise NumericalAbort(step)
+                raise NumericalAbort(step + 1)
             step += 1
             history.steps.append((step, float(loss)))
             if dev_set is not None and config.eval_every > 0 and step % config.eval_every == 0:

@@ -14,17 +14,20 @@ the raw hidden state at position 0.
 
 Only what the score reads is computed. A batch is trimmed after its last
 real position: PAD keys are masked and PAD rows never reach [CLS], so their
-gradient is zero. Every layer takes all T rows as keys and values, but the
-last layer computes queries, attention, context, output projection, both
-layer norms and the FFN for the [CLS] row alone (its cached ``attn`` holds
-one query row). Dropout masks are taken from a draw over the full
-(B, A, max_len, max_len) and (B, max_len, ffn_size) layouts at the offsets
-in use (``DeterministicRng.uniform_at``), so each entry equals the one a
-full draw gives and does not depend on the trim.
+gradient is zero. Every layer but the last runs all T rows. The last runs
+the [CLS] row alone (its cached ``attn`` holds one query row) and projects
+no row: with u = W_k q a logit is u . x_t + q . b_k, and W_v applies after
+the row sum, ctx = (sum_t a_t x_t) W_v + (sum_t a_t) b_v (sum_t a_t is not
+1 under dropout). Dropout masks come from a draw over the full (B, A,
+max_len, max_len) and (B, max_len, ffn_size) layouts at the offsets in use
+(``DeterministicRng.uniform_at``), so each entry equals the one a full draw
+gives and does not depend on the trim.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -101,6 +104,16 @@ def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     return layout
 
 
+@functools.lru_cache
+def _layout_spans(config: ModelConfig) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
+    """``param_layout`` as (name, shape, start, end) slices of the flat vector."""
+    spans, start = [], 0
+    for name, shape, _ in param_layout(config):
+        spans.append((name, shape, start, start + math.prod(shape)))
+        start += math.prod(shape)
+    return tuple(spans)
+
+
 class ModelParams:
     """All learnable tensors, backed by one flat float64 vector.
 
@@ -115,12 +128,9 @@ class ModelParams:
             raise ValueError(f"flat vector has {flat.shape}, expected ({expected},)")
         self.config = config
         self.flat = flat
-        self.tensors: dict[str, np.ndarray] = {}
-        offset = 0
-        for name, shape, _ in param_layout(config):
-            size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            self.tensors[name] = flat[offset:offset + size].reshape(shape)
-            offset += size
+        self.tensors: dict[str, np.ndarray] = {
+            name: flat[start:end].reshape(shape)
+            for name, shape, start, end in _layout_spans(config)}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
@@ -134,8 +144,7 @@ class ModelParams:
 
 
 def num_params(config: ModelConfig) -> int:
-    return sum(int(np.prod(shape, dtype=np.int64)) if shape else 1
-               for _, shape, _ in param_layout(config))
+    return _layout_spans(config)[-1][3]
 
 
 def init_params(config: ModelConfig) -> ModelParams:
@@ -143,7 +152,7 @@ def init_params(config: ModelConfig) -> ModelParams:
     rng = DeterministicRng(config.seed, stream=_INIT_STREAM)
     chunks = []
     for _, shape, kind in param_layout(config):
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        size = math.prod(shape)
         if kind == "normal":
             chunks.append(rng.truncated_normal(size) * 0.02)
         elif kind == "ones":
@@ -196,10 +205,10 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 def _embedding_grad(ids: np.ndarray, dx: np.ndarray, rows: int) -> np.ndarray:
     """Rows of ``dx`` summed per id into a (rows, H) table (np.add.at, bit for bit)."""
-    flat_ids = ids.ravel()
-    d = dx.reshape(flat_ids.size, -1)
-    return np.stack([np.bincount(flat_ids, weights=d[:, j], minlength=rows)
-                     for j in range(d.shape[1])], axis=1)
+    H = dx.shape[-1]
+    flat_index = (ids.reshape(-1, 1) * H + np.arange(H)).ravel()  # id * H + column
+    return np.bincount(flat_index, weights=dx.ravel(),
+                       minlength=rows * H).reshape(rows, H)
 
 
 def _dropout_mask(rng: DeterministicRng, shape: tuple[int, ...],
@@ -253,13 +262,25 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
     for l in range(cfg.num_layers):
         p = lambda s: params[f"layer{l}.{s}"]
         # query rows: every position feeds the next layer, only [CLS] feeds the head
-        Tq = 1 if l == cfg.num_layers - 1 else T
+        last = l == cfg.num_layers - 1
+        Tq = 1 if last else T
         x_in = x
         x_q = x_in[:, :Tq]
         q = (x_q @ p("attn.wq") + p("attn.bq")).reshape(B, Tq, A, dh).transpose(0, 2, 1, 3)
-        k = (x_in @ p("attn.wk") + p("attn.bk")).reshape(B, T, A, dh).transpose(0, 2, 1, 3)
-        v = (x_in @ p("attn.wv") + p("attn.bv")).reshape(B, T, A, dh).transpose(0, 2, 1, 3)
-        logits = q @ k.transpose(0, 1, 3, 2) * scale + add_mask
+        c = dict(x_in=x_in, q=q)
+        if last:
+            # one query row: W_k folds into it (u = W_k q) and W_v applies after the
+            # row sum. Per-head weights are (A, H, dh); the scaled q and u (A, B, .)
+            wk, wv = (p(f"attn.w{n}").reshape(H, A, dh).transpose(1, 0, 2) for n in "kv")
+            c["q"] = q_a = q[:, :, 0].transpose(1, 0, 2) * scale
+            c["u"] = u = q_a @ wk.transpose(0, 2, 1)
+            q_bk = q_a @ p("attn.bk").reshape(A, dh, 1)
+            logits = ((u.transpose(1, 0, 2) @ x_in.transpose(0, 2, 1))
+                      + q_bk.transpose(1, 0, 2))[:, :, None] + add_mask
+        else:
+            c["k"] = k = (x_in @ p("attn.wk") + p("attn.bk")).reshape(B, T, A, dh).swapaxes(1, 2)
+            c["v"] = v = (x_in @ p("attn.wv") + p("attn.bv")).reshape(B, T, A, dh).swapaxes(1, 2)
+            logits = q @ k.transpose(0, 1, 3, 2) * scale + add_mask
         logits -= logits.max(axis=-1, keepdims=True)
         e = np.exp(logits)
         attn = e / e.sum(axis=-1, keepdims=True)
@@ -269,7 +290,13 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
         else:
             attn_mask_drop = None
             attn_used = attn
-        ctx = (attn_used @ v).transpose(0, 2, 1, 3).reshape(B, Tq, H)
+        if last:
+            a = attn_used[:, :, 0]
+            c["m"] = m = (a @ x_in).transpose(1, 0, 2)
+            c["s"] = s = a.sum(axis=-1).T[:, :, None]  # not 1 under dropout
+            ctx = (m @ wv + s * p("attn.bv").reshape(A, 1, dh)).transpose(1, 0, 2).reshape(B, 1, H)
+        else:
+            ctx = (attn_used @ v).transpose(0, 2, 1, 3).reshape(B, T, H)
         att_out = ctx @ p("attn.wo") + p("attn.bo")
         r1 = x_q + att_out
         y1, ln1_cache = _layer_norm(r1, p("ln1.gain"), p("ln1.bias"))
@@ -285,7 +312,7 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
         r2 = y1 + f_out
         x, ln2_cache = _layer_norm(r2, p("ln2.gain"), p("ln2.bias"))
         layers.append(dict(
-            x_in=x_in, q=q, k=k, v=v, attn=attn, attn_mask_drop=attn_mask_drop,
+            c, attn=attn, attn_mask_drop=attn_mask_drop,
             attn_used=attn_used, ctx=ctx, ln1_cache=ln1_cache, y1=y1,
             gelu_deriv=gelu_deriv, h_used=h_used, ffn_mask_drop=ffn_mask_drop,
             ln2_cache=ln2_cache,
@@ -324,7 +351,8 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
         p = lambda s: params[f"layer{l}.{s}"]
         gr = lambda s: grads.tensors[f"layer{l}.{s}"]
         c = cache["layers"][l]
-        Tq = c["q"].shape[2]
+        last = l == cfg.num_layers - 1
+        Tq = 1 if last else T
 
         dr2, dg2, db2 = _layer_norm_backward(dx, p("ln2.gain"), c["ln2_cache"])
         gr("ln2.gain")[...] = dg2
@@ -343,25 +371,47 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
         dr1, dg1, db1 = _layer_norm_backward(dy1, p("ln1.gain"), c["ln1_cache"])
         gr("ln1.gain")[...] = dg1
         gr("ln1.bias")[...] = db1
-        dx_in = np.zeros((B, T, H))
-        dx_in[:, :Tq] = dr1       # residual branch (query rows only)
         datt_out = dr1            # attention branch
         gr("attn.wo")[...] = _weight_grad(c["ctx"], datt_out)
         gr("attn.bo")[...] = datt_out.sum(axis=(0, 1))
         dctx = (datt_out @ p("attn.wo").T).reshape(B, Tq, A, dh).transpose(0, 2, 1, 3)
 
-        d_attn_used = dctx @ c["v"].transpose(0, 1, 3, 2)
-        dv = c["attn_used"].transpose(0, 1, 3, 2) @ dctx
+        if last:
+            # the folded [CLS] row of forward(), head-major (A, B, .) as there
+            wk, wv = (p(f"attn.w{n}").reshape(H, A, dh).transpose(1, 0, 2) for n in "kv")
+            dctx = dctx[:, :, 0].transpose(1, 0, 2)
+            gr("attn.wv")[...] = (c["m"].transpose(0, 2, 1) @ dctx).transpose(1, 0, 2).reshape(H, H)
+            gr("attn.bv")[...] = (c["s"] * dctx).sum(axis=1).reshape(H)
+            dm = dctx @ wv.transpose(0, 2, 1)
+            d_attn_used = ((dm.transpose(1, 0, 2) @ c["x_in"].transpose(0, 2, 1))
+                           + (dctx @ p("attn.bv").reshape(A, dh, 1)).transpose(1, 0, 2))[:, :, None]
+        else:
+            d_attn_used = dctx @ c["v"].transpose(0, 1, 3, 2)
+            dv = c["attn_used"].transpose(0, 1, 3, 2) @ dctx
         d_attn = (d_attn_used * c["attn_mask_drop"]
                   if c["attn_mask_drop"] is not None else d_attn_used)
         attn = c["attn"]
         d_logits = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-        dq = d_logits @ c["k"] * scale
-        dk = d_logits.transpose(0, 1, 3, 2) @ c["q"] * scale
+        if last:
+            dl = d_logits[:, :, 0]
+            dx_in = c["attn_used"][:, :, 0].transpose(0, 2, 1) @ dm.transpose(1, 0, 2)
+            dx_in += dl.transpose(0, 2, 1) @ c["u"].transpose(1, 0, 2)
+            du = (dl @ c["x_in"]).transpose(1, 0, 2)
+            dl_sum = dl.sum(axis=-1).T[:, :, None]
+            gr("attn.wk")[...] = (du.transpose(0, 2, 1) @ c["q"]).transpose(1, 0, 2).reshape(H, H)
+            gr("attn.bk")[...] = (dl_sum * c["q"]).sum(axis=1).reshape(H)
+            dq = (du @ wk + dl_sum * p("attn.bk").reshape(A, 1, dh)) * scale
+            projected = (("q", dq.transpose(1, 0, 2)[:, :, None]),)
+        else:
+            dx_in = np.zeros((B, T, H))
+            dq = d_logits @ c["k"] * scale
+            dk = d_logits.transpose(0, 1, 3, 2) @ c["q"] * scale
+            projected = (("q", dq), ("k", dk), ("v", dv))
+        dx_in[:, :Tq] += dr1      # residual branch (query rows only)
 
-        # the three input projections share the same backward shape; Q reads
-        # the query rows, K and V read every row
-        for name, dhead in (("q", dq), ("k", dk), ("v", dv)):
+        # the projected inputs share the same backward shape; Q reads the
+        # query rows, K and V read every row
+        for name, dhead in projected:
             rows = dhead.shape[2]
             d_proj = dhead.transpose(0, 2, 1, 3).reshape(B, rows, H)
             gr(f"attn.w{name}")[...] = _weight_grad(c["x_in"][:, :rows], d_proj)

@@ -233,6 +233,25 @@ def rewrite_checkpoint(src: Path, dst: Path, edit_header=lambda h: h, edit_param
                     + header + edit_params(data[start + header_len:]) + trailing)
 
 
+@pytest.mark.parametrize("model_overrides", [{}, {"num_layers": 2, "dropout_rate": 0.1}])
+def test_checkpoint_independent_of_blas_threads(workspace, model_overrides):
+    config = {**TRAIN_CONFIG, "model": {**TRAIN_CONFIG["model"], **model_overrides}}
+    (workspace / "config.json").write_text(json.dumps(config))
+    checkpoints = []
+    for threads in ("1", "2"):
+        out_dir = workspace / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=str(Path(pairrank.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "pairrank", "train",
+                               "--train", str(workspace / "train.jsonl"),
+                               "--config", str(workspace / "config.json"),
+                               "--out-dir", str(out_dir)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        checkpoints.append((out_dir / "model.ckpt").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+
+
 def train_with_config(ws: Path, config: dict) -> list[str]:
     (ws / "bad_config.json").write_text(json.dumps(config))
     return ["train", "--train", str(ws / "train.jsonl"), "--config", str(ws / "bad_config.json"),

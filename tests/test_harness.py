@@ -165,7 +165,7 @@ def test_train_aborts_on_non_finite_parameter(monkeypatch):
     ds = make_separable_corpus(6, num_neg=2, seed=3)
     with pytest.raises(NumericalAbort) as info:
         train(tiny_train_config(num_epochs=2), ds)
-    assert info.value.step == 2  # steps count from 0, as for a non-finite loss
+    assert info.value.step == 3  # numbered from 1, as in history.json
 
 
 def test_train_rejects_tripleless_dataset():

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from pairrank.model import (
     _DROPOUT_STREAM,
+    _embedding_grad,
     ModelConfig,
     ModelParams,
     backward,
@@ -174,24 +177,46 @@ def test_backward_wrong_grad_length(tiny_setup):
         backward(params, cache, [1.0])
 
 
-def test_gradient_check_tiny(tiny_setup):
-    cfg, params, vocab = tiny_setup
+def check_gradient_entries(params, pairs, g, indices, train_mode=False):
+    """Central differences of sum_i g[i] * score_i against backward() at ``indices``."""
     params = params.copy()
-    pair = make_pairs(vocab)[0]
-    _, cache = forward(params, [pair])
-    grads = backward(params, cache, [1.0])
-    rng = np.random.default_rng(0)
+    _, cache = forward(params, pairs, train_mode=train_mode, dropout_seed=4)
+    grads = backward(params, cache, g)
     eps = 1e-4
-    for j in rng.choice(params.flat.size, 80, replace=False):
+    for j in indices:
         orig = params.flat[j]
         params.flat[j] = orig + eps
-        sp, _ = forward(params, [pair])
+        sp, _ = forward(params, pairs, train_mode=train_mode, dropout_seed=4)
         params.flat[j] = orig - eps
-        sm, _ = forward(params, [pair])
+        sm, _ = forward(params, pairs, train_mode=train_mode, dropout_seed=4)
         params.flat[j] = orig
-        fd = (sp[0] - sm[0]) / (2 * eps)
+        fd = (sp - sm) @ g / (2 * eps)
         an = grads.flat[j]
-        assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an)) + 1e-9
+        assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an)) + 1e-9, j
+
+
+def test_gradient_check_tiny(tiny_setup):
+    cfg, params, vocab = tiny_setup
+    rng = np.random.default_rng(0)
+    check_gradient_entries(params, [make_pairs(vocab)[0]], np.ones(1),
+                           rng.choice(params.flat.size, 80, replace=False))
+
+
+def test_gradient_check_one_layer(vocab):
+    # the only layer is the last, so the folded [CLS] attention reads the
+    # embeddings directly; dropout makes the attention row sum differ from 1
+    cfg = ModelConfig(vocab_size=len(vocab), hidden_size=16, num_layers=1, num_heads=2,
+                      ffn_size=32, max_len=16, dropout_rate=0.2, seed=5)
+    init = init_params(cfg)
+    params = ModelParams(cfg, init.flat + np.random.default_rng(3).normal(0, 0.05, init.flat.size))
+    pairs = mixed_length_pairs(vocab)
+    g = np.random.default_rng(4).normal(size=len(pairs))
+    kind = ModelParams(cfg, np.zeros(params.flat.size))  # 1 attention, 2 embedding
+    for name, tensor in kind.tensors.items():
+        tensor[...] = 1 if ".attn." in name else 2 if name.endswith("_emb") else 0
+    embeddings = np.random.default_rng(5).choice(np.flatnonzero(kind.flat == 2), 60, replace=False)
+    check_gradient_entries(params, pairs, g, [*np.flatnonzero(kind.flat == 1), *embeddings],
+                           train_mode=True)
 
 
 def test_attention_rows_normalized(tiny_setup):
@@ -343,17 +368,26 @@ def mixed_length_pairs(vocab, max_len=16):
     return [encode_pair(vocab, q, a, max_len=max_len) for q, a in texts]
 
 
-@pytest.mark.parametrize("num_layers", [1, 2])
-@pytest.mark.parametrize("train_mode", [False, True])
-def test_matches_full_row_reference(vocab, num_layers, train_mode):
+def _reference_case_id(train_mode, num_layers, num_heads, fills_max_len):
+    return "-".join([str(train_mode), str(num_layers)]
+                    + [f"heads{num_heads}"] * (num_heads != 2) + ["full"] * fills_max_len)
+
+
+@pytest.mark.parametrize("train_mode,num_layers,num_heads,fills_max_len", [
+    pytest.param(*case, id=_reference_case_id(*case))
+    for case in itertools.product([False, True], [1, 2], [2, 1, 4], [False, True])])
+def test_matches_full_row_reference(vocab, train_mode, num_layers, num_heads, fills_max_len):
+    # the folded last layer depends on the (H, A, dh) column layout of W_k and W_v
     cfg = ModelConfig(vocab_size=len(vocab), hidden_size=16, num_layers=num_layers,
-                      num_heads=2, ffn_size=32, max_len=16, dropout_rate=0.2, seed=3)
+                      num_heads=num_heads, ffn_size=32, max_len=16, dropout_rate=0.2, seed=3)
     init = init_params(cfg)
     # non-trivial biases and gains, so every parameter class carries gradient
     params = ModelParams(cfg, init.flat + np.random.default_rng(1).normal(0, 0.05, init.flat.size))
     pairs = mixed_length_pairs(vocab)
+    if fills_max_len:  # the batch is not trimmed
+        pairs.append(encode_pair(vocab, "who wrote hamlet", "the play " * 20, max_len=cfg.max_len))
     lengths = [int(p.attention_mask.sum()) for p in pairs]
-    assert len(set(lengths)) > 1 and max(lengths) < cfg.max_len  # the batch is trimmed
+    assert len(set(lengths)) > 1 and (max(lengths) == cfg.max_len) == fills_max_len
     g = np.random.default_rng(2).normal(size=len(pairs))
     scores, cache = forward(params, pairs, train_mode=train_mode, dropout_seed=5)
     ref_scores, ref_cache = ref_forward(params, pairs, train_mode=train_mode, dropout_seed=5)
@@ -363,6 +397,16 @@ def test_matches_full_row_reference(vocab, num_layers, train_mode):
     for name, _, _ in param_layout(cfg):
         assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-10, name
     assert np.abs(ref_grads.flat).max() > 1e-3
+
+
+@pytest.mark.parametrize("rows", [2, 50])
+def test_embedding_grad_matches_add_at_bitwise(rows):
+    rng = np.random.default_rng(rows)
+    ids = rng.integers(0, rows, size=(6, 11))
+    dx = rng.normal(size=(6, 11, 8))
+    expected = np.zeros((rows, 8))
+    np.add.at(expected, ids, dx)
+    assert np.array_equal(_embedding_grad(ids, dx, rows).view(np.int64), expected.view(np.int64))
 
 
 def test_uniform_at_matches_bulk_draw():
