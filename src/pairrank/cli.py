@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import corpus, harness, metrics
@@ -82,8 +83,8 @@ def cmd_train(args) -> int:
         vocab.save(f)
     with open(out / "history.json", "w", encoding="utf-8") as f:
         json.dump(history.to_dict(), f, indent=2)
-    with open(out / "config.json", "w", encoding="utf-8") as f:
-        json.dump(config.to_dict(), f, indent=2, sort_keys=True)
+    with open(out / "config.json", "w", encoding="utf-8") as f:  # with the resolved vocab_size
+        json.dump(replace(config, model=params.config).to_dict(), f, indent=2, sort_keys=True)
     print(json.dumps({"out_dir": str(out), "steps": len(history.steps),
                       "final_loss": history.steps[-1][1] if history.steps else None}))
     return EXIT_OK

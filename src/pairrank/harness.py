@@ -68,8 +68,8 @@ class TrainConfig:
             raise ValueError("learning_rate and adam_epsilon must be finite and > 0")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ValueError("adam_beta1 and adam_beta2 must be in [0, 1)")
-        if self.batch_size < 1 or self.num_epochs < 1:
-            raise ValueError("batch_size and num_epochs must be >= 1")
+        if self.batch_size < 1 or self.num_epochs < 1 or self.eval_every < 0:
+            raise ValueError("batch_size and num_epochs must be >= 1, eval_every >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -197,6 +197,7 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset | None = Non
     state = OptimizerState()
     history = TrainHistory()
     step = 0
+    eval_every = config.eval_every or math.ceil(len(triples) / config.batch_size)  # 0: epoch end
     for epoch in range(config.num_epochs):
         t0 = time.monotonic()
         order = shuffle_triples(triples, config.base_seed + epoch)
@@ -217,11 +218,8 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset | None = Non
                 raise NumericalAbort(step + 1)
             step += 1
             history.steps.append((step, float(loss)))
-            if dev_set is not None and config.eval_every > 0 and step % config.eval_every == 0:
+            if dev_set is not None and step % eval_every == 0:
                 report = evaluate(params, vocab, dev_set, filter_mode=config.filter_mode)
                 history.evals.append((step, report.mrr, report.map))
         history.epoch_seconds.append(time.monotonic() - t0)
-        if dev_set is not None and config.eval_every == 0:
-            report = evaluate(params, vocab, dev_set, filter_mode=config.filter_mode)
-            history.evals.append((step, report.mrr, report.map))
     return params, vocab, history

@@ -16,12 +16,12 @@ Only what the score reads is computed. A batch is trimmed after its last
 real position: PAD keys are masked and PAD rows never reach [CLS], so their
 gradient is zero. Every layer but the last runs all T rows. The last runs
 the [CLS] row alone (its cached ``attn`` holds one query row) and projects
-no row: with u = W_k q a logit is u . x_t + q . b_k, and W_v applies after
-the row sum, ctx = (sum_t a_t x_t) W_v + (sum_t a_t) b_v (sum_t a_t is not
-1 under dropout). Dropout masks come from a draw over the full (B, A,
-max_len, max_len) and (B, max_len, ffn_size) layouts at the offsets in use
-(``DeterministicRng.uniform_at``), so each entry equals the one a full draw
-gives and does not depend on the trim.
+no row: with u = W_k q a logit is u . x_t, and W_v applies after the row
+sum, ctx = (sum_t a_t x_t) W_v + (sum_t a_t) b_v (sum_t a_t is not 1 under
+dropout). No layer reads ``attn.bk``: q . b_k is the same for every key of
+a softmax row, so it gets no gradient and keeps its zero init. Each dropout
+mask is the next draws of the step's stream over the shape a layer
+computes: (B, A, rows, T) for attention and (B, rows, ffn_size) for the FFN.
 """
 
 from __future__ import annotations
@@ -211,16 +211,9 @@ def _embedding_grad(ids: np.ndarray, dx: np.ndarray, rows: int) -> np.ndarray:
                        minlength=rows * H).reshape(rows, H)
 
 
-def _dropout_mask(rng: DeterministicRng, shape: tuple[int, ...],
-                  full_shape: tuple[int, ...], rate: float) -> np.ndarray:
-    """Scaled keep mask for the leading ``shape`` corner of a ``full_shape`` draw.
-
-    Each entry is the one a mask drawn over all of ``full_shape`` would have
-    at that index, and the stream advances past the whole ``full_shape``, so
-    masks do not depend on how much of the layout a batch computes.
-    """
-    offsets = np.ravel_multi_index(np.ix_(*map(np.arange, shape)), full_shape)
-    keep = rng.uniform_at(offsets, int(np.prod(full_shape))) >= rate
+def _dropout_mask(rng: DeterministicRng, shape: tuple[int, ...], rate: float) -> np.ndarray:
+    """Scaled keep mask from the next ``prod(shape)`` draws of ``rng``."""
+    keep = rng.uniform(math.prod(shape)).reshape(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
 
 
@@ -247,7 +240,7 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
     cfg = params.config
     ids, segs, mask = _stack_batch(batch, cfg.max_len)
     B, T = ids.shape
-    H, A, F, M = cfg.hidden_size, cfg.num_heads, cfg.ffn_size, cfg.max_len
+    H, A = cfg.hidden_size, cfg.num_heads
     dh = H // A
     scale = 1.0 / np.sqrt(dh)
 
@@ -274,18 +267,16 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
             wk, wv = (p(f"attn.w{n}").reshape(H, A, dh).transpose(1, 0, 2) for n in "kv")
             c["q"] = q_a = q[:, :, 0].transpose(1, 0, 2) * scale
             c["u"] = u = q_a @ wk.transpose(0, 2, 1)
-            q_bk = q_a @ p("attn.bk").reshape(A, dh, 1)
-            logits = ((u.transpose(1, 0, 2) @ x_in.transpose(0, 2, 1))
-                      + q_bk.transpose(1, 0, 2))[:, :, None] + add_mask
+            logits = (u.transpose(1, 0, 2) @ x_in.transpose(0, 2, 1))[:, :, None] + add_mask
         else:
-            c["k"] = k = (x_in @ p("attn.wk") + p("attn.bk")).reshape(B, T, A, dh).swapaxes(1, 2)
+            c["k"] = k = (x_in @ p("attn.wk")).reshape(B, T, A, dh).swapaxes(1, 2)
             c["v"] = v = (x_in @ p("attn.wv") + p("attn.bv")).reshape(B, T, A, dh).swapaxes(1, 2)
             logits = q @ k.transpose(0, 1, 3, 2) * scale + add_mask
         logits -= logits.max(axis=-1, keepdims=True)
         e = np.exp(logits)
         attn = e / e.sum(axis=-1, keepdims=True)
         if use_dropout:
-            attn_mask_drop = _dropout_mask(rng, attn.shape, (B, A, M, M), cfg.dropout_rate)
+            attn_mask_drop = _dropout_mask(rng, attn.shape, cfg.dropout_rate)
             attn_used = attn * attn_mask_drop
         else:
             attn_mask_drop = None
@@ -303,7 +294,7 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
         pre_act = y1 @ p("ffn.w1") + p("ffn.b1")
         h_act, gelu_deriv = _gelu(pre_act)
         if use_dropout:
-            ffn_mask_drop = _dropout_mask(rng, h_act.shape, (B, M, F), cfg.dropout_rate)
+            ffn_mask_drop = _dropout_mask(rng, h_act.shape, cfg.dropout_rate)
             h_used = h_act * ffn_mask_drop
         else:
             ffn_mask_drop = None
@@ -397,10 +388,8 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
             dx_in = c["attn_used"][:, :, 0].transpose(0, 2, 1) @ dm.transpose(1, 0, 2)
             dx_in += dl.transpose(0, 2, 1) @ c["u"].transpose(1, 0, 2)
             du = (dl @ c["x_in"]).transpose(1, 0, 2)
-            dl_sum = dl.sum(axis=-1).T[:, :, None]
             gr("attn.wk")[...] = (du.transpose(0, 2, 1) @ c["q"]).transpose(1, 0, 2).reshape(H, H)
-            gr("attn.bk")[...] = (dl_sum * c["q"]).sum(axis=1).reshape(H)
-            dq = (du @ wk + dl_sum * p("attn.bk").reshape(A, 1, dh)) * scale
+            dq = du @ wk * scale
             projected = (("q", dq.transpose(1, 0, 2)[:, :, None]),)
         else:
             dx_in = np.zeros((B, T, H))
@@ -410,12 +399,13 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
         dx_in[:, :Tq] += dr1      # residual branch (query rows only)
 
         # the projected inputs share the same backward shape; Q reads the
-        # query rows, K and V read every row
+        # query rows, K and V read every row. K has no bias: b_k is unread
         for name, dhead in projected:
             rows = dhead.shape[2]
             d_proj = dhead.transpose(0, 2, 1, 3).reshape(B, rows, H)
             gr(f"attn.w{name}")[...] = _weight_grad(c["x_in"][:, :rows], d_proj)
-            gr(f"attn.b{name}")[...] = d_proj.sum(axis=(0, 1))
+            if name != "k":
+                gr(f"attn.b{name}")[...] = d_proj.sum(axis=(0, 1))
             dx_in[:, :rows] += d_proj @ p(f"attn.w{name}").T
         dx = dx_in
 

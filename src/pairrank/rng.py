@@ -16,15 +16,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 finalizer (xor-shift / multiply avalanche) on a Python int."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer (xor-shift / multiply avalanche), wrapping in uint64."""
     z = z.astype(np.uint64, copy=True)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
@@ -34,9 +27,9 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _unit(u: np.ndarray) -> np.ndarray:
-    """Doubles uniform on [0, 1) from the top 53 bits of raw outputs."""
-    return (u >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+def _mix64(z: int) -> int:
+    """``_mix64_array`` on one Python int, taken modulo 2**64 first."""
+    return int(_mix64_array(np.array(z & _MASK64, dtype=np.uint64)))
 
 
 class DeterministicRng:
@@ -50,32 +43,15 @@ class DeterministicRng:
         self._key = _mix64(_mix64(seed & _MASK64) ^ ((stream * _GOLDEN_GAMMA) & _MASK64))
         self._counter = 0
 
-    def _outputs(self, idx: np.ndarray) -> np.ndarray:
-        """Raw outputs at 1-based counter positions ``idx`` (uint64)."""
-        return _mix64_array(np.uint64(self._key) + idx * np.uint64(_GOLDEN_GAMMA))
-
     def next_u64(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        return self._outputs(idx)
+        return _mix64_array(np.uint64(self._key) + idx * np.uint64(_GOLDEN_GAMMA))
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1), using the top 53 bits."""
-        return _unit(self.next_u64(n))
-
-    def uniform_at(self, offsets: np.ndarray, advance: int) -> np.ndarray:
-        """The draws of ``uniform(advance)`` at ``offsets`` (same shape), bit for bit.
-
-        Only the requested outputs are computed; the counter then advances
-        by ``advance``, exactly as ``uniform(advance)`` would.
-        """
-        offsets = np.asarray(offsets)
-        if offsets.size and (offsets.min() < 0 or offsets.max() >= advance):
-            raise ValueError(f"offsets must lie in [0, {advance})")
-        idx = offsets.astype(np.uint64) + np.uint64(self._counter + 1)
-        self._counter += advance
-        return _unit(self._outputs(idx))
+        return (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
     def truncated_normal(self, n: int, cutoff: float = 2.0) -> np.ndarray:
         """``n`` standard-normal draws rejected outside +/- ``cutoff``."""

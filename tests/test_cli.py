@@ -15,6 +15,7 @@ from pairrank.harness import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     build_training_vocab,
+    load_checkpoint,
     save_checkpoint,
 )
 from pairrank.model import ModelConfig, forward, init_params
@@ -91,6 +92,9 @@ def test_train_eval_rank_end_to_end(workspace, capsys):
     assert (out_dir / "model.ckpt").exists()
     assert (out_dir / "vocab.txt").exists()
     assert (out_dir / "history.json").exists()
+    saved = json.loads((out_dir / "config.json").read_text())
+    with open(out_dir / "model.ckpt", "rb") as f:
+        assert saved["model"] == load_checkpoint(f).config.to_dict()  # vocab_size resolved
     capsys.readouterr()
 
     run_file = workspace / "run.trec"

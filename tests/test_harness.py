@@ -34,7 +34,7 @@ def tiny_train_config(**overrides) -> TrainConfig:
 
 def test_config_validation():
     for bad in (dict(num_epochs=0), dict(optimizer="rmsprop"),
-                dict(learning_rate=0.0), dict(learning_rate=math.inf),
+                dict(eval_every=-1), dict(learning_rate=0.0), dict(learning_rate=math.inf),
                 dict(learning_rate=math.nan), dict(adam_beta1=1.0), dict(adam_beta1=-0.1),
                 dict(adam_beta2=math.nan), dict(adam_epsilon=0.0),
                 dict(adam_epsilon=math.inf), dict(adam_epsilon=math.nan)):
@@ -152,6 +152,40 @@ def test_train_records_dev_evals():
     assert len(history.evals) == 2  # once per epoch with eval_every=0
     for _, mrr, map_ in history.evals:
         assert 0.0 <= mrr <= 1.0 and 0.0 <= map_ <= 1.0
+    # 12 triples in batches of 5: three steps per epoch, the last one partial
+    for eval_every, steps in ((0, [3, 6]), (2, [2, 4, 6]), (4, [4])):
+        cfg = tiny_train_config(num_epochs=2, batch_size=5, eval_every=eval_every)
+        _, _, history = train(cfg, ds, dev_set=dev)
+        assert len(history.steps) == 6
+        assert [s for s, _, _ in history.evals] == steps
+
+
+@pytest.mark.parametrize("base_seed,expected", [
+    (0, [8841707400507832957, 5974825227474435752, 15559990572502793946]),
+    (11, [11974666870081405309, 12149811572582368307, 14127284536164110970]),
+    (-2, [13097412088287921567, 13040959721820390457, 1335423334400215598]),
+])
+def test_dropout_seed_golden_values(monkeypatch, base_seed, expected):
+    seeds = []
+    real_forward = harness.forward
+
+    def record_seed(params, batch, train_mode=False, dropout_seed=0):
+        seeds.append(dropout_seed)
+        return real_forward(params, batch, train_mode=train_mode, dropout_seed=dropout_seed)
+    monkeypatch.setattr(harness, "forward", record_seed)
+    ds = make_separable_corpus(6, num_neg=2, seed=3)
+    train(tiny_train_config(base_seed=base_seed, num_epochs=1), ds)
+    assert seeds[:3] == expected
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_unread_key_bias_stays_zero(optimizer):
+    # q . b_k is constant along a softmax row, so b_k gets no gradient
+    model = ModelConfig(**{**TINY_MODEL.to_dict(), "num_layers": 2, "dropout_rate": 0.1})
+    ds = make_separable_corpus(6, num_neg=2, seed=3)
+    params, _, _ = train(tiny_train_config(model=model, optimizer=optimizer), ds)
+    assert all(np.all(params[f"layer{l}.attn.bk"] == 0.0) for l in range(2))
+    assert not np.array_equal(params.flat, init_params(params.config).flat)
 
 
 def test_train_aborts_on_non_finite_parameter(monkeypatch):

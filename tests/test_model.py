@@ -236,7 +236,7 @@ def test_finite_params_check(tiny_setup):
         bad.assert_finite()
 
 
-# --- reference: every layer over all max_len rows, dropout drawn in full -----
+# --- reference: every layer over all max_len rows, untrimmed ----------------
 
 def _ref_gelu(x):
     u = 0.7978845608028654 * (x + 0.044715 * x ** 3)
@@ -260,9 +260,16 @@ def _ref_layer_norm_backward(dy, gain, cache):
     return dx, (dy * xhat).sum(axis=(0, 1)), dy.sum(axis=(0, 1))
 
 
-def _ref_dropout_mask(rng, shape, rate):
-    keep = rng.uniform(int(np.prod(shape))).reshape(shape) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+def _ref_dropout_mask(rng, shape, used, rate):
+    """The next prod(used) draws in the leading ``used`` corner, 1 elsewhere.
+
+    Entries outside the corner multiply zero attention weights or rows that
+    never reach [CLS], so any value there gives the same scores.
+    """
+    mask = np.ones(shape)
+    keep = rng.uniform(int(np.prod(used))).reshape(used) >= rate
+    mask[tuple(map(slice, used))] = keep.astype(np.float64) / (1.0 - rate)
+    return mask
 
 
 def ref_forward(params, batch, train_mode=False, dropout_seed=0):
@@ -271,6 +278,7 @@ def ref_forward(params, batch, train_mode=False, dropout_seed=0):
     segs = np.stack([p.segment_ids for p in batch])
     mask = np.stack([p.attention_mask for p in batch])
     B, T = ids.shape
+    used_T = int(mask.sum(axis=1).max())  # the length a trimmed batch computes
     H, A = cfg.hidden_size, cfg.num_heads
     dh = H // A
     scale = 1.0 / np.sqrt(dh)
@@ -281,6 +289,7 @@ def ref_forward(params, batch, train_mode=False, dropout_seed=0):
     layers = []
     for l in range(cfg.num_layers):
         p = lambda s: params[f"layer{l}.{s}"]
+        rows = 1 if l == cfg.num_layers - 1 else used_T  # the last layer computes [CLS] alone
         x_in = x
         q, k, v = ((x_in @ p(f"attn.w{n}") + p(f"attn.b{n}")).reshape(B, T, A, dh)
                    .transpose(0, 2, 1, 3) for n in "qkv")
@@ -288,13 +297,15 @@ def ref_forward(params, batch, train_mode=False, dropout_seed=0):
         logits -= logits.max(axis=-1, keepdims=True)
         e = np.exp(logits)
         attn = e / e.sum(axis=-1, keepdims=True)
-        attn_drop = _ref_dropout_mask(rng, attn.shape, cfg.dropout_rate) if use_dropout else None
+        attn_drop = (_ref_dropout_mask(rng, attn.shape, (B, A, rows, used_T), cfg.dropout_rate)
+                     if use_dropout else None)
         attn_used = attn * attn_drop if use_dropout else attn
         ctx = (attn_used @ v).transpose(0, 2, 1, 3).reshape(B, T, H)
         y1, ln1 = _ref_layer_norm(x_in + ctx @ p("attn.wo") + p("attn.bo"),
                                   p("ln1.gain"), p("ln1.bias"))
         h_act, gelu_deriv = _ref_gelu(y1 @ p("ffn.w1") + p("ffn.b1"))
-        ffn_drop = _ref_dropout_mask(rng, h_act.shape, cfg.dropout_rate) if use_dropout else None
+        ffn_drop = (_ref_dropout_mask(rng, h_act.shape, (B, rows, cfg.ffn_size), cfg.dropout_rate)
+                    if use_dropout else None)
         h_used = h_act * ffn_drop if use_dropout else h_act
         x, ln2 = _ref_layer_norm(y1 + h_used @ p("ffn.w2") + p("ffn.b2"),
                                  p("ln2.gain"), p("ln2.bias"))
@@ -407,17 +418,6 @@ def test_embedding_grad_matches_add_at_bitwise(rows):
     expected = np.zeros((rows, 8))
     np.add.at(expected, ids, dx)
     assert np.array_equal(_embedding_grad(ids, dx, rows).view(np.int64), expected.view(np.int64))
-
-
-def test_uniform_at_matches_bulk_draw():
-    offsets = np.array([[0, 7, 3], [999, 500, 7]])
-    sparse, bulk = DeterministicRng(9, stream=4), DeterministicRng(9, stream=4)
-    sparse.uniform(5)
-    bulk.uniform(5)
-    assert np.array_equal(sparse.uniform_at(offsets, 1000), bulk.uniform(1000)[offsets])
-    assert np.array_equal(sparse.uniform(3), bulk.uniform(3))  # both advanced by 1000
-    with pytest.raises(ValueError):
-        sparse.uniform_at(np.array([10]), 10)
 
 
 def test_eval_score_independent_of_batch_mate_lengths(tiny_setup):

@@ -112,6 +112,18 @@ def test_bulk_draw_helpers_match_one_draw_per_element():
         assert np.array_equal(fast.uniform(2), ref.uniform(2))  # same number of draws
 
 
+@pytest.mark.parametrize("seed,stream,expected", [
+    (0, 0, [0.8833108082136426, 0.43152799704850997, 0.026433771592597743, 0.9708819781538285]),
+    (7, 202, [0.032152277289431264, 0.3737697279558354, 0.5104581297430915, 0.6671169073658715]),
+    (-3, 1, [0.8065710930421979, 0.9287745479953557, 0.6023734742608811, 0.6894976039077539]),
+    (2 ** 64 + 5, 9, [0.9704738073905679, 0.2378587201682968, 0.18067123412007635,
+                      0.6996947071506819]),
+])
+def test_uniform_golden_values(seed, stream, expected):
+    # recorded from the generator as specified; a change here changes every stream
+    assert DeterministicRng(seed, stream).uniform(4).tolist() == expected
+
+
 def test_invalid_config():
     with pytest.raises(ValueError):
         SamplingConfig(strategy="nope")
