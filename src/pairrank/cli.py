@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import corpus, harness, metrics
@@ -82,7 +82,7 @@ def cmd_train(args) -> int:
     with open(out / "vocab.txt", "w", encoding="utf-8") as f:
         vocab.save(f)
     with open(out / "history.json", "w", encoding="utf-8") as f:
-        json.dump(history.to_dict(), f, indent=2)
+        json.dump(asdict(history), f, indent=2)
     with open(out / "config.json", "w", encoding="utf-8") as f:  # with the resolved vocab_size
         json.dump(replace(config, model=params.config).to_dict(), f, indent=2, sort_keys=True)
     print(json.dumps({"out_dir": str(out), "steps": len(history.steps),
@@ -164,10 +164,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (corpus.CorpusError, CheckpointError, FileNotFoundError, UnicodeDecodeError) as exc:
+    except (corpus.CorpusError, CheckpointError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Dataset
 from .metrics import evaluate
-from .model import ModelConfig, ModelParams, backward, forward, init_params
+from .model import ModelConfig, ModelParams, backward, forward, init_params, num_params
 from .objective import LossConfig, batch_loss
 from .rng import _mix64
 from .sampling import SamplingConfig, generate_triples, shuffle_triples
@@ -79,7 +79,7 @@ class TrainConfig:
         """Build from parsed JSON; an unknown key raises ValueError naming it."""
         try:
             obj = dict(obj)
-            model = ModelConfig.from_dict({"vocab_size": 4, **obj.pop("model", {})})
+            model = ModelConfig(**{"vocab_size": 4, **obj.pop("model", {})})
             loss = LossConfig(**obj.pop("loss", {}))
             sampling = SamplingConfig(**obj.pop("sampling", {}))
             return cls(model=model, loss=loss, sampling=sampling, **obj)
@@ -92,13 +92,6 @@ class TrainHistory:
     steps: list[tuple[int, float]] = field(default_factory=list)          # (step, mean loss)
     evals: list[tuple[int, float, float]] = field(default_factory=list)   # (step, dev MRR, dev MAP)
     epoch_seconds: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "steps": [[s, loss] for s, loss in self.steps],
-            "evals": [[s, mrr, map_] for s, mrr, map_ in self.evals],
-            "epoch_seconds": self.epoch_seconds,
-        }
 
 
 @dataclass
@@ -151,10 +144,9 @@ def load_checkpoint(stream: IO[bytes]) -> ModelParams:
     if len(header) != header_len:
         raise CheckpointError("truncated checkpoint config")
     try:
-        config = ModelConfig.from_dict(json.loads(header.decode("utf-8")))
+        config = ModelConfig(**json.loads(header.decode("utf-8")))
     except (ValueError, TypeError) as exc:  # bad UTF-8 or JSON, unknown or missing keys
         raise CheckpointError(f"bad checkpoint config: {exc}") from exc
-    from .model import num_params
     expected = num_params(config)
     raw = stream.read(expected * 4)
     if len(raw) != expected * 4:
@@ -167,13 +159,13 @@ def load_checkpoint(stream: IO[bytes]) -> ModelParams:
     return ModelParams(config, flat)
 
 
-def build_training_vocab(train_set: Dataset, min_freq: int = 1) -> Vocab:
+def build_training_vocab(train_set: Dataset) -> Vocab:
     def texts():
         for q in train_set.questions:
             yield q.text
             for c in q.candidates:
                 yield c.text
-    return build_vocab(texts(), min_freq=min_freq)
+    return build_vocab(texts())
 
 
 def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset | None = None,

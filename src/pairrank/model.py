@@ -69,10 +69,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ModelConfig":
-        return cls(**obj)
-
 
 def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """Flat parameter ordering: (name, shape, init kind).
@@ -162,11 +158,6 @@ def init_params(config: ModelConfig) -> ModelParams:
     params = ModelParams(config, np.concatenate(chunks))
     params.assert_finite()
     return params
-
-
-def zero_gradients(config: ModelConfig) -> ModelParams:
-    """Shape-congruent gradient accumulator (same layout as ModelParams)."""
-    return ModelParams(config, np.zeros(num_params(config)))
 
 
 def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +317,7 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
     g = np.asarray(score_grads, dtype=np.float64)
     if g.shape != scores.shape:
         raise ValueError("score_grads length must equal batch size")
-    grads = zero_gradients(cfg)
+    grads = ModelParams(cfg, np.zeros(num_params(cfg)))
     B = scores.shape[0]
     T = cache["T"]
     H, A = cfg.hidden_size, cfg.num_heads
@@ -348,16 +339,14 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
         dr2, dg2, db2 = _layer_norm_backward(dx, p("ln2.gain"), c["ln2_cache"])
         gr("ln2.gain")[...] = dg2
         gr("ln2.bias")[...] = db2
-        dy1 = dr2.copy()          # residual branch
-        df = dr2                  # FFN branch
-        gr("ffn.w2")[...] = _weight_grad(c["h_used"], df)
-        gr("ffn.b2")[...] = df.sum(axis=(0, 1))
-        dh_used = df @ p("ffn.w2").T
+        gr("ffn.w2")[...] = _weight_grad(c["h_used"], dr2)   # FFN branch
+        gr("ffn.b2")[...] = dr2.sum(axis=(0, 1))
+        dh_used = dr2 @ p("ffn.w2").T
         dh_act = dh_used * c["ffn_mask_drop"] if c["ffn_mask_drop"] is not None else dh_used
         d_pre = dh_act * c["gelu_deriv"]
         gr("ffn.w1")[...] = _weight_grad(c["y1"], d_pre)
         gr("ffn.b1")[...] = d_pre.sum(axis=(0, 1))
-        dy1 += d_pre @ p("ffn.w1").T
+        dy1 = dr2 + d_pre @ p("ffn.w1").T   # residual branch + FFN input
 
         dr1, dg1, db1 = _layer_norm_backward(dy1, p("ln1.gain"), c["ln1_cache"])
         gr("ln1.gain")[...] = dg1

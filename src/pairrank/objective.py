@@ -9,7 +9,6 @@ clamped to [epsilon, 1 - epsilon] before the logs so the loss is total.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,26 +30,25 @@ class LossConfig:
             raise ValueError("epsilon must be in (0, 1e-3)")
 
 
-def _clamp(y: float, eps: float) -> float:
-    return min(max(y, eps), 1.0 - eps)
+def _loss_terms(yp, yn, config: LossConfig):
+    """Elementwise (loss, dL/dyp, dL/dyn) for floats or arrays of scores.
+
+    The hinge contributes subgradient 0 exactly at the kink.
+    """
+    eps = config.epsilon
+    yp = np.minimum(np.maximum(yp, eps), 1.0 - eps)
+    yn = np.minimum(np.maximum(yn, eps), 1.0 - eps)
+    ce = -(np.log(yp) + np.log(1.0 - yn))
+    slack = config.margin - yp + yn
+    loss = config.lambda1 * ce + config.lambda2 * np.maximum(0.0, slack)
+    active = slack > 0.0
+    d_yp = -config.lambda1 / yp - config.lambda2 * active
+    d_yn = config.lambda1 / (1.0 - yn) + config.lambda2 * active
+    return loss, d_yp, d_yn
 
 
 def pairwise_loss(yp: float, yn: float, config: LossConfig) -> float:
-    yp = _clamp(yp, config.epsilon)
-    yn = _clamp(yn, config.epsilon)
-    ce = -(math.log(yp) + math.log(1.0 - yn))
-    hinge = max(0.0, config.margin - yp + yn)
-    return config.lambda1 * ce + config.lambda2 * hinge
-
-
-def pairwise_loss_grad(yp: float, yn: float, config: LossConfig) -> tuple[float, float]:
-    """(dL/dyp, dL/dyn); the hinge contributes subgradient 0 exactly at the kink."""
-    yp = _clamp(yp, config.epsilon)
-    yn = _clamp(yn, config.epsilon)
-    hinge_active = config.margin - yp + yn > 0.0
-    d_yp = -config.lambda1 / yp + (-config.lambda2 if hinge_active else 0.0)
-    d_yn = config.lambda1 / (1.0 - yn) + (config.lambda2 if hinge_active else 0.0)
-    return d_yp, d_yn
+    return float(_loss_terms(yp, yn, config)[0])
 
 
 def batch_loss(yps: np.ndarray, yns: np.ndarray,
@@ -64,14 +62,6 @@ def batch_loss(yps: np.ndarray, yns: np.ndarray,
     yns = np.asarray(yns, dtype=np.float64)
     if yps.shape != yns.shape or yps.size == 0:
         raise ValueError("score arrays must be non-empty and the same length")
-    eps = config.epsilon
-    yp = np.clip(yps, eps, 1.0 - eps)
-    yn = np.clip(yns, eps, 1.0 - eps)
-    ce = -(np.log(yp) + np.log(1.0 - yn))
-    slack = config.margin - yp + yn
-    losses = config.lambda1 * ce + config.lambda2 * np.maximum(0.0, slack)
+    losses, d_yp, d_yn = _loss_terms(yps, yns, config)
     n = yps.size
-    active = slack > 0.0
-    d_yp = (-config.lambda1 / yp - config.lambda2 * active) / n
-    d_yn = (config.lambda1 / (1.0 - yn) + config.lambda2 * active) / n
-    return float(losses.mean()), d_yp, d_yn
+    return float(losses.mean()), d_yp / n, d_yn / n

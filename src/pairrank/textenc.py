@@ -58,12 +58,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def id_of(self, token: str) -> int:
-        return self.ids.get(token, UNK_ID)
-
-    def token_of(self, token_id: int) -> str:
-        return self.tokens[token_id]
-
     def save(self, stream: IO[str]) -> None:
         for tok in self.tokens:
             stream.write(tok + "\n")

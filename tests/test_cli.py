@@ -268,6 +268,12 @@ def eval_with_checkpoint(ws: Path, **rewrite) -> list[str]:
             "--data", str(ws / "dev.jsonl")]
 
 
+def train_into_file(ws: Path) -> list[str]:
+    (ws / "not_a_dir").write_text("")
+    return ["train", "--train", str(ws / "train.jsonl"), "--config", str(ws / "config.json"),
+            "--out-dir", str(ws / "not_a_dir")]
+
+
 def stats_non_utf8(ws: Path) -> list[str]:
     (ws / "latin1.jsonl").write_bytes(
         '{"question_id": "q1", "question_text": "caf\u00e9", "candidates": []}\n'.encode("latin-1"))
@@ -295,6 +301,12 @@ MALFORMED = {
     "checkpoint-nan-parameter": (lambda ws: eval_with_checkpoint(
         ws, edit_params=lambda b: struct.pack("<f", float("nan")) + b[4:]), 2),
     "corpus-not-utf8": (stats_non_utf8, 2),
+    # paths that cannot be opened or created are data errors
+    "corpus-is-directory": (lambda ws: ["stats", "--in", str(ws)], 2),
+    "checkpoint-is-directory": (lambda ws: [
+        "eval", "--checkpoint", str(ws), "--vocab", str(ws / "init_vocab.txt"),
+        "--data", str(ws / "dev.jsonl")], 2),
+    "out-dir-is-file": (train_into_file, 2),
 }
 
 

@@ -36,13 +36,13 @@ def test_tokenize_punctuation_split():
 def test_build_vocab_order():
     v = build_vocab(["a a b"], min_freq=1)
     assert v.tokens == RESERVED_TOKENS + ("a", "b")
-    assert v.id_of("a") == 4 and v.id_of("b") == 5
+    assert v.ids["a"] == 4 and v.ids["b"] == 5
 
 
 def test_build_vocab_min_freq():
     v = build_vocab(["a a b"], min_freq=2)
     assert "b" not in v.tokens
-    assert v.id_of("b") == UNK_ID
+    assert "b" not in v.ids
 
 
 def test_build_vocab_empty():
@@ -66,8 +66,8 @@ def test_vocab_save_load_roundtrip():
 def test_encode_pair_layout():
     v = build_vocab(["who wrote hamlet shakespeare"])
     pair = encode_pair(v, "who wrote hamlet", "shakespeare wrote hamlet", max_len=16)
-    ids = [CLS_ID, v.id_of("who"), v.id_of("wrote"), v.id_of("hamlet"), SEP_ID,
-           v.id_of("shakespeare"), v.id_of("wrote"), v.id_of("hamlet"), SEP_ID] + [PAD_ID] * 7
+    ids = [CLS_ID, v.ids["who"], v.ids["wrote"], v.ids["hamlet"], SEP_ID,
+           v.ids["shakespeare"], v.ids["wrote"], v.ids["hamlet"], SEP_ID] + [PAD_ID] * 7
     assert pair.token_ids.tolist() == ids
     assert pair.segment_ids.tolist() == [0] * 5 + [1] * 4 + [0] * 7
     assert pair.attention_mask.tolist() == [1] * 9 + [0] * 7
@@ -132,7 +132,7 @@ def test_decode_reencode_roundtrip():
     v = build_vocab(["who wrote hamlet shakespeare it"])
     pair = encode_pair(v, "who wrote hamlet", "shakespeare wrote it", max_len=16)
     non_pad = pair.token_ids[pair.attention_mask == 1]
-    toks = [v.token_of(int(i)) for i in non_pad]
+    toks = [v.tokens[int(i)] for i in non_pad]
     sep1 = toks.index("[SEP]")
     q = " ".join(toks[1:sep1])
     a = " ".join(toks[sep1 + 1:-1])
