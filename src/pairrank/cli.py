@@ -45,24 +45,19 @@ def _load_model(checkpoint_path: str, vocab_path: str):
     return params, vocab
 
 
-def cmd_convert(args) -> int:
-    if args.from_format != "tsv":
-        print(f"error: unsupported input format {args.from_format!r}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_convert(args) -> None:
     with open(args.infile, encoding="utf-8") as f:
         ds = corpus.convert_tsv(f, name=Path(args.infile).stem)
     with open(args.outfile, "w", encoding="utf-8") as f:
         corpus.write_canonical(ds, f)
-    return EXIT_OK
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> None:
     ds = _load_dataset(args.infile)
-    print(json.dumps(corpus.compute_stats(ds).to_dict(), indent=2))
-    return EXIT_OK
+    print(json.dumps(asdict(corpus.compute_stats(ds)), indent=2))
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     with open(args.config, encoding="utf-8") as f:
         cfg_obj = json.load(f)
     if args.epochs is not None:
@@ -74,9 +69,9 @@ def cmd_train(args) -> int:
     config = TrainConfig.from_dict(cfg_obj)
     train_set = _load_dataset(args.train, split="train")
     dev_set = _load_dataset(args.dev, split="dev") if args.dev else None
-    params, vocab, history = harness.train(config, train_set, dev_set)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)  # an unusable --out-dir fails before training
+    params, vocab, history = harness.train(config, train_set, dev_set)
     with open(out / "model.ckpt", "wb") as f:
         harness.save_checkpoint(params, f)
     with open(out / "vocab.txt", "w", encoding="utf-8") as f:
@@ -84,36 +79,32 @@ def cmd_train(args) -> int:
     with open(out / "history.json", "w", encoding="utf-8") as f:
         json.dump(asdict(history), f, indent=2)
     with open(out / "config.json", "w", encoding="utf-8") as f:  # with the resolved vocab_size
-        json.dump(replace(config, model=params.config).to_dict(), f, indent=2, sort_keys=True)
+        json.dump(asdict(replace(config, model=params.config)), f, indent=2, sort_keys=True)
     print(json.dumps({"out_dir": str(out), "steps": len(history.steps),
                       "final_loss": history.steps[-1][1] if history.steps else None}))
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     params, vocab = _load_model(args.checkpoint, args.vocab)
     report = metrics.evaluate(params, vocab, _load_dataset(args.data), filter_mode=args.filter)
     if args.run_file:
         with open(args.run_file, "w", encoding="utf-8") as f:
             metrics.write_trec_run(report.rankings, f)
     print(report.to_json())
-    return EXIT_OK
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args) -> None:
     params, vocab = _load_model(args.checkpoint, args.vocab)
     with open(args.answers, encoding="utf-8") as f:
         answers = [line.strip() for line in f if line.strip()]
     if not answers:
-        print("error: answers file is empty", file=sys.stderr)
-        return EXIT_DATA
+        raise corpus.CorpusError("answers file is empty")
     # one unlabeled question whose answer ids are the input line indices
     question = corpus.Question("rank", args.question, tuple(
         corpus.CandidateAnswer(str(i), a, False) for i, a in enumerate(answers)))
     [ranked] = metrics.rank_dataset(params, vocab, corpus.Dataset("rank", "test", (question,)))
     for rank, (answer_id, score, _) in enumerate(ranked.entries, start=1):
         print(f"{rank}\t{score:.6f}\t{answers[int(answer_id)]}")
-    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -157,10 +148,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only place where an outcome becomes an exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except NumericalAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -170,6 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # json.JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -66,9 +66,6 @@ class DatasetStats:
     num_answerable: int
     num_train_pairs: int
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def _freeze_extra(obj: dict, known: set[str], where: str, warned: set[str]) -> tuple:
     extra = []
@@ -103,7 +100,7 @@ def parse_canonical(stream: IO[str], name: str = "dataset", split: str = "train"
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, huge integers, deep nesting
             raise CorpusError(f"line {lineno}: malformed JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise CorpusError(f"line {lineno}: expected a JSON object")
@@ -209,11 +206,11 @@ def convert_tsv(rows: Iterable[str], name: str = "dataset", split: str = "train"
     """Convert 4-column TSV (question_id, question_text, answer_text, label).
 
     Rows must be grouped by question_id; answer ids are assigned a0, a1, ...
-    in row order within each question.
+    in row order within each question. The questions are validated by
+    ``parse_canonical`` (one JSON line each), so TSV inherits every invariant.
     """
-    questions: list[Question] = []
-    order: list[str] = []
-    by_qid: dict[str, dict] = {}
+    objs: list[dict] = []
+    seen: set[str] = set()
     for lineno, line in enumerate(rows, start=1):
         line = line.rstrip("\n")
         if not line.strip():
@@ -224,22 +221,11 @@ def convert_tsv(rows: Iterable[str], name: str = "dataset", split: str = "train"
         qid, qtext, atext, label = cols
         if label not in ("0", "1"):
             raise CorpusError(f"line {lineno}: label must be 0 or 1, got {label!r}")
-        if qid not in by_qid:
-            order.append(qid)
-            by_qid[qid] = {"text": qtext, "cands": []}
-        elif order[-1] != qid:
-            raise CorpusError(f"line {lineno}: rows for question {qid!r} are not contiguous")
-        entry = by_qid[qid]
-        entry["cands"].append(CandidateAnswer(
-            answer_id=f"a{len(entry['cands'])}", text=atext, label=label == "1"))
-    for qid in order:
-        entry = by_qid[qid]
-        questions.append(Question(question_id=qid, text=entry["text"],
-                                  candidates=tuple(entry["cands"])))
-    ds = Dataset(name=name, split=split, questions=tuple(questions))
-    # re-validate through the canonical path so TSV inherits all invariants
-    import io
-    buf = io.StringIO()
-    write_canonical(ds, buf)
-    buf.seek(0)
-    return parse_canonical(buf, name=name, split=split)
+        if not objs or objs[-1]["question_id"] != qid:
+            if qid in seen:
+                raise CorpusError(f"line {lineno}: rows for question {qid!r} are not contiguous")
+            seen.add(qid)
+            objs.append({"question_id": qid, "question_text": qtext, "candidates": []})
+        cands = objs[-1]["candidates"]
+        cands.append({"answer_id": f"a{len(cands)}", "text": atext, "label": label == "1"})
+    return parse_canonical((json.dumps(o) for o in objs), name=name, split=split)

@@ -13,12 +13,12 @@ import json
 import math
 import struct
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import IO
 
 import numpy as np
 
-from .corpus import Dataset
+from .corpus import FILTER_MODES, Dataset
 from .metrics import evaluate
 from .model import ModelConfig, ModelParams, backward, forward, init_params, num_params
 from .objective import LossConfig, batch_loss
@@ -31,12 +31,14 @@ OPTIMIZERS = ("adam", "sgd")
 CHECKPOINT_MAGIC = b"PRCKPT\n"
 CHECKPOINT_VERSION = 1
 
+MAX_LOGIT = 709.0  # training diverged once |logit| exceeds it: exp(-logit) overflows float64
+
 
 class NumericalAbort(RuntimeError):
-    """Raised when the loss or a parameter goes non-finite; ``step`` counts from 1."""
+    """Raised when |logit| > MAX_LOGIT or a parameter is non-finite; ``step`` counts from 1."""
 
     def __init__(self, step: int):
-        super().__init__(f"non-finite loss or parameter at step {step}")
+        super().__init__(f"training diverged at step {step}: |logit| > 709 or a non-finite parameter")
         self.step = step
 
 
@@ -68,11 +70,14 @@ class TrainConfig:
             raise ValueError("learning_rate and adam_epsilon must be finite and > 0")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ValueError("adam_beta1 and adam_beta2 must be in [0, 1)")
+        counts = (self.batch_size, self.num_epochs, self.eval_every, self.base_seed)
+        if not all(type(v) is int for v in counts):  # bool is not int here
+            raise ValueError("batch_size, num_epochs, eval_every and base_seed must be integers")
         if self.batch_size < 1 or self.num_epochs < 1 or self.eval_every < 0:
             raise ValueError("batch_size and num_epochs must be >= 1, eval_every >= 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        if self.filter_mode not in FILTER_MODES:
+            raise ValueError(
+                f"unknown filter_mode {self.filter_mode!r}, expected one of {FILTER_MODES}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
@@ -145,7 +150,7 @@ def load_checkpoint(stream: IO[bytes]) -> ModelParams:
         raise CheckpointError("truncated checkpoint config")
     try:
         config = ModelConfig(**json.loads(header.decode("utf-8")))
-    except (ValueError, TypeError) as exc:  # bad UTF-8 or JSON, unknown or missing keys
+    except (ValueError, TypeError, RecursionError) as exc:  # bad UTF-8 or JSON, bad keys
         raise CheckpointError(f"bad checkpoint config: {exc}") from exc
     expected = num_params(config)
     raw = stream.read(expected * 4)
@@ -200,10 +205,10 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset | None = Non
             dropout_seed = _mix64(config.base_seed ^ _mix64(step + 1))
             scores, cache = forward(params, pos_pairs + neg_pairs,
                                     train_mode=True, dropout_seed=dropout_seed)
+            if not (np.abs(cache["logit"]) <= MAX_LOGIT).all():  # NaN fails too
+                raise NumericalAbort(step + 1)
             n = len(batch)
             loss, d_yp, d_yn = batch_loss(scores[:n], scores[n:], config.loss)
-            if not np.isfinite(loss):
-                raise NumericalAbort(step + 1)
             grads = backward(params, cache, np.concatenate([d_yp, d_yn]))
             optimizer_step(params, grads, state, config)
             if not np.isfinite(params.flat).all():

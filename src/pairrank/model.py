@@ -56,8 +56,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.vocab_size, self.hidden_size, self.num_layers,
-               self.num_heads, self.ffn_size, self.max_len) < 1:
+        sizes = (self.vocab_size, self.hidden_size, self.num_layers,
+                 self.num_heads, self.ffn_size, self.max_len)
+        if not all(type(v) is int for v in (*sizes, self.seed)):  # bool is not int here
+            raise ValueError("model sizes and seed must be integers")
+        if min(sizes) < 1:
             raise ValueError("all model sizes must be >= 1")
         if self.hidden_size % self.num_heads != 0:
             raise ValueError("hidden_size must be divisible by num_heads")
@@ -131,13 +134,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.config, self.flat.copy())
-
-    def assert_finite(self) -> None:
-        if not np.all(np.isfinite(self.flat)):
-            raise FloatingPointError("non-finite model parameter")
-
 
 def num_params(config: ModelConfig) -> int:
     return _layout_spans(config)[-1][3]
@@ -155,9 +151,7 @@ def init_params(config: ModelConfig) -> ModelParams:
             chunks.append(np.ones(size))
         else:
             chunks.append(np.zeros(size))
-    params = ModelParams(config, np.concatenate(chunks))
-    params.assert_finite()
-    return params
+    return ModelParams(config, np.concatenate(chunks))
 
 
 def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,10 +196,13 @@ def _embedding_grad(ids: np.ndarray, dx: np.ndarray, rows: int) -> np.ndarray:
                        minlength=rows * H).reshape(rows, H)
 
 
-def _dropout_mask(rng: DeterministicRng, shape: tuple[int, ...], rate: float) -> np.ndarray:
-    """Scaled keep mask from the next ``prod(shape)`` draws of ``rng``."""
-    keep = rng.uniform(math.prod(shape)).reshape(shape) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+def _dropout(rng: DeterministicRng | None, x: np.ndarray, rate: float):
+    """(x * mask, mask) with a scaled keep mask from the next ``x.size`` draws
+    of ``rng``, or (x, None) when ``rng`` is None (no dropout)."""
+    if rng is None:
+        return x, None
+    mask = (rng.uniform(x.size).reshape(x.shape) >= rate) / (1.0 - rate)
+    return x * mask, mask
 
 
 def _stack_batch(batch: Sequence[EncodedPair], max_len: int):
@@ -224,7 +221,7 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
     """Score a batch of encoded pairs; returns (scores, cache).
 
     Eval mode (train_mode=False) is deterministic and applies no dropout.
-    The cache holds every activation backward() needs.
+    The cache holds every activation backward() needs, and the logits.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -235,8 +232,9 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
     dh = H // A
     scale = 1.0 / np.sqrt(dh)
 
-    rng = DeterministicRng(dropout_seed, stream=_DROPOUT_STREAM) if train_mode else None
-    use_dropout = train_mode and cfg.dropout_rate > 0.0
+    rate = cfg.dropout_rate
+    rng = (DeterministicRng(dropout_seed, stream=_DROPOUT_STREAM)
+           if train_mode and rate > 0.0 else None)
 
     x = params["tok_emb"][ids] + params["pos_emb"][:T] + params["seg_emb"][segs]
     # additive key mask: 0 on real tokens, -inf on PAD keys
@@ -266,12 +264,7 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
         logits -= logits.max(axis=-1, keepdims=True)
         e = np.exp(logits)
         attn = e / e.sum(axis=-1, keepdims=True)
-        if use_dropout:
-            attn_mask_drop = _dropout_mask(rng, attn.shape, cfg.dropout_rate)
-            attn_used = attn * attn_mask_drop
-        else:
-            attn_mask_drop = None
-            attn_used = attn
+        attn_used, attn_mask_drop = _dropout(rng, attn, rate)
         if last:
             a = attn_used[:, :, 0]
             c["m"] = m = (a @ x_in).transpose(1, 0, 2)
@@ -284,12 +277,7 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
         y1, ln1_cache = _layer_norm(r1, p("ln1.gain"), p("ln1.bias"))
         pre_act = y1 @ p("ffn.w1") + p("ffn.b1")
         h_act, gelu_deriv = _gelu(pre_act)
-        if use_dropout:
-            ffn_mask_drop = _dropout_mask(rng, h_act.shape, cfg.dropout_rate)
-            h_used = h_act * ffn_mask_drop
-        else:
-            ffn_mask_drop = None
-            h_used = h_act
+        h_used, ffn_mask_drop = _dropout(rng, h_act, rate)
         f_out = h_used @ p("ffn.w2") + p("ffn.b2")
         r2 = y1 + f_out
         x, ln2_cache = _layer_norm(r2, p("ln2.gain"), p("ln2.bias"))
@@ -302,8 +290,9 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
 
     h_cls = x[:, 0, :]
     logit = h_cls @ params["head.w"] + params["head.b"]
-    scores = 1.0 / (1.0 + np.exp(-logit))
-    cache = dict(ids=ids, segs=segs, T=T, layers=layers, h_cls=h_cls,
+    with np.errstate(over="ignore"):  # a logit below -709 scores exactly 0.0
+        scores = 1.0 / (1.0 + np.exp(-logit))
+    cache = dict(ids=ids, segs=segs, T=T, layers=layers, h_cls=h_cls, logit=logit,
                  scores=scores, params_flat_id=id(params.flat))
     return scores, cache
 

@@ -33,7 +33,7 @@ def _mix64(z: int) -> int:
 
 
 class DeterministicRng:
-    """Seedable stream of uint64s / doubles with reproducible bulk draws.
+    """Seedable stream of doubles with reproducible bulk draws.
 
     ``stream`` partitions the seed space so that two consumers seeded with
     the same base seed but different stream ids never share outputs.
@@ -43,15 +43,12 @@ class DeterministicRng:
         self._key = _mix64(_mix64(seed & _MASK64) ^ ((stream * _GOLDEN_GAMMA) & _MASK64))
         self._counter = 0
 
-    def next_u64(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit outputs as a uint64 array."""
+    def uniform(self, n: int) -> np.ndarray:
+        """The next ``n`` outputs as doubles uniform on [0, 1), using the top 53 bits."""
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        return _mix64_array(np.uint64(self._key) + idx * np.uint64(_GOLDEN_GAMMA))
-
-    def uniform(self, n: int) -> np.ndarray:
-        """``n`` doubles uniform on [0, 1), using the top 53 bits."""
-        return (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        z = _mix64_array(np.uint64(self._key) + idx * np.uint64(_GOLDEN_GAMMA))
+        return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
     def truncated_normal(self, n: int, cutoff: float = 2.0) -> np.ndarray:
         """``n`` standard-normal draws rejected outside +/- ``cutoff``."""

@@ -30,6 +30,8 @@ class SamplingConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
+        if not (type(self.k) is int and type(self.seed) is int):  # bool is not int here
+            raise ValueError("k and seed must be integers")
         if self.k < 1:
             raise ValueError("k must be >= 1")
 

@@ -1,9 +1,17 @@
 import random
 
+from hypothesis import strategies as st
+
 from pairrank.corpus import CandidateAnswer, Dataset, Question
 
 FILLERS = [f"word{i}" for i in range(30)]
 MARKER = "zmarker"
+
+# any JSON value; json writes and reads NaN and the infinities too
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
 
 
 def make_separable_corpus(num_questions: int, num_neg: int = 4, seed: int = 0,

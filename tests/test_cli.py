@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import pairrank
-from pairrank import metrics
+from pairrank import harness, metrics
 from pairrank.cli import main
 from pairrank.corpus import filter_evaluable, write_canonical
 from pairrank.harness import (
@@ -274,13 +274,18 @@ def train_into_file(ws: Path) -> list[str]:
             "--out-dir", str(ws / "not_a_dir")]
 
 
+def stats_of_line(ws: Path, line: str) -> list[str]:
+    (ws / "odd.jsonl").write_text(line + "\n")
+    return ["stats", "--in", str(ws / "odd.jsonl")]
+
+
 def stats_non_utf8(ws: Path) -> list[str]:
     (ws / "latin1.jsonl").write_bytes(
         '{"question_id": "q1", "question_text": "caf\u00e9", "candidates": []}\n'.encode("latin-1"))
     return ["stats", "--in", str(ws / "latin1.jsonl")]
 
 
-# malformed input -> (argv builder, expected exit code): 1 usage, 2 data
+# malformed input -> (argv builder, expected exit code): 1 usage, 2 data, 3 numerical
 MALFORMED = {
     "config-unknown-key": (lambda ws: train_with_config(ws, {**TRAIN_CONFIG, "bogus": 1}), 1),
     "config-unknown-model-key": (lambda ws: train_with_config(
@@ -292,15 +297,31 @@ MALFORMED = {
         ws, {**TRAIN_CONFIG, "learning_rate": float("inf")}), 1),
     "config-nan-learning-rate": (lambda ws: train_with_config(
         ws, {**TRAIN_CONFIG, "learning_rate": float("nan")}), 1),
+    # sizes and counts must be ints: 8.0 and 16.0 are not, though integral
+    "config-float-batch-size": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "batch_size": 8.0}), 1),
+    "config-float-hidden-size": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "model": {**TRAIN_CONFIG["model"], "hidden_size": 16.0}}), 1),
+    "config-unknown-filter-mode": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "filter_mode": "bogus"}), 1),
+    # SGD at this rate drives the logits past +/-709 within a few steps
+    "config-sgd-diverges": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "optimizer": "sgd", "learning_rate": 1e6}), 3),
     "checkpoint-unknown-header-key": (lambda ws: eval_with_checkpoint(
         ws, edit_header=lambda h: {**h, "bogus": 1}), 2),
     "checkpoint-missing-header-key": (lambda ws: eval_with_checkpoint(
         ws, edit_header=lambda h: {k: v for k, v in h.items() if k != "vocab_size"}), 2),
+    "checkpoint-float-size": (lambda ws: eval_with_checkpoint(
+        ws, edit_header=lambda h: {**h, "max_len": 16.5}), 2),
+    "checkpoint-integral-float-size": (lambda ws: eval_with_checkpoint(
+        ws, edit_header=lambda h: {**h, "hidden_size": 16.0}), 2),
     "checkpoint-trailing-bytes": (lambda ws: eval_with_checkpoint(ws, trailing=b"\0" * 4), 2),
     # the parameters start with tok_emb, so this puts one NaN into tok_emb[0, 0]
     "checkpoint-nan-parameter": (lambda ws: eval_with_checkpoint(
         ws, edit_params=lambda b: struct.pack("<f", float("nan")) + b[4:]), 2),
     "corpus-not-utf8": (stats_non_utf8, 2),
+    "corpus-huge-integer": (lambda ws: stats_of_line(ws, '{"question_id": ' + "1" * 4301 + "}"), 2),
+    "corpus-deep-nesting": (lambda ws: stats_of_line(ws, "[" * 100_000), 2),
     # paths that cannot be opened or created are data errors
     "corpus-is-directory": (lambda ws: ["stats", "--in", str(ws)], 2),
     "checkpoint-is-directory": (lambda ws: [
@@ -319,3 +340,10 @@ def test_malformed_input_exit_code(case, model_files, workspace):
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_unusable_out_dir_fails_before_training(workspace, monkeypatch):
+    def must_not_train(*args, **kwargs):
+        raise AssertionError("training started before --out-dir was created")
+    monkeypatch.setattr(harness, "train", must_not_train)
+    assert main(train_into_file(workspace)) == 2

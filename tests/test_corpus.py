@@ -1,8 +1,9 @@
+import dataclasses
 import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairrank.corpus import (
@@ -17,7 +18,7 @@ from pairrank.corpus import (
     write_canonical,
 )
 
-from conftest import make_random_dataset
+from conftest import JSON_VALUES, make_random_dataset
 
 ONE_LINE = json.dumps({
     "question_id": "q1",
@@ -121,7 +122,7 @@ def test_stats_basic():
 
 def test_stats_empty():
     stats = compute_stats(Dataset(name="d", split="train", questions=()))
-    assert stats.to_dict() == dict.fromkeys(stats.to_dict(), 0)
+    assert dataclasses.asdict(stats) == dict.fromkeys(dataclasses.asdict(stats), 0)
 
 
 def test_stats_invariants_and_order_invariance():
@@ -187,3 +188,40 @@ def test_convert_tsv_non_contiguous():
 def test_roundtrip_identity_property(seed, n):
     ds = make_random_dataset(n, seed=seed)
     assert roundtrip(ds) == ds
+
+
+def with_one_edit(objs, keys):
+    """``objs`` with at most one of ``keys`` set to any JSON value or removed."""
+    drop = object()
+    edits = st.dictionaries(st.sampled_from(keys), JSON_VALUES | st.just(drop), max_size=1)
+    return st.builds(lambda obj, edit: {k: v for k, v in {**obj, **edit}.items() if v is not drop},
+                     objs, edits)
+
+
+# canonical objects, some with one field broken; "note" is an unknown field
+CANDIDATE_OBJS = with_one_edit(st.fixed_dictionaries({
+    "answer_id": st.text(min_size=1, max_size=2),
+    "text": st.text(min_size=1, max_size=4),
+    "label": st.booleans(),
+}), ["answer_id", "text", "label", "note"])
+QUESTION_OBJS = with_one_edit(st.fixed_dictionaries({
+    "question_id": st.text(min_size=1, max_size=2),
+    "question_text": st.text(min_size=1, max_size=4),
+    "candidates": st.lists(CANDIDATE_OBJS, min_size=1, max_size=3),
+}), ["question_id", "question_text", "candidates", "note"])
+
+
+# JSON lines of such objects or other values, or any text at all
+CORPUS_TEXTS = st.lists(QUESTION_OBJS | JSON_VALUES, max_size=4).map(
+    lambda objs: "".join(json.dumps(o) + "\n" for o in objs)) | st.text()
+
+
+@settings(max_examples=100, deadline=None)
+@given(CORPUS_TEXTS)
+@example('{"question_id": ' + "1" * 4301 + "}")  # past int's 4,300-digit limit
+@example("[" * 100_000)  # deeper than the recursion limit
+def test_parse_canonical_fuzz(text):
+    try:
+        assert isinstance(parse_canonical(io.StringIO(text)), Dataset)
+    except CorpusError:
+        pass

@@ -1,13 +1,18 @@
+import dataclasses
 import io
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pairrank import harness
 from pairrank.harness import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     CheckpointError,
     NumericalAbort,
     OptimizerState,
@@ -20,7 +25,7 @@ from pairrank.harness import (
 from pairrank.metrics import evaluate
 from pairrank.model import ModelConfig, ModelParams, init_params, num_params
 
-from conftest import make_separable_corpus
+from conftest import JSON_VALUES, make_separable_corpus
 
 TINY_MODEL = ModelConfig(vocab_size=4, hidden_size=16, num_layers=1, num_heads=2,
                          ffn_size=32, max_len=16, dropout_rate=0.0, seed=1)
@@ -44,7 +49,7 @@ def test_config_validation():
 
 def test_config_dict_roundtrip():
     cfg = tiny_train_config()
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def flat_params(values) -> ModelParams:
@@ -119,6 +124,40 @@ def test_checkpoint_truncated():
     save_checkpoint(params, buf)
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(io.BytesIO(buf.getvalue()[:-10]))
+
+
+def loads_or_checkpoint_error(data: bytes) -> None:
+    try:
+        params = load_checkpoint(io.BytesIO(data))
+    except CheckpointError:
+        return
+    assert np.isfinite(params.flat).all()
+
+
+def with_header(header: bytes, body: bytes = b"") -> bytes:
+    return CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header)) + header + body
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=st.dictionaries(st.sampled_from([*TINY_MODEL.to_dict(), "bogus"]), JSON_VALUES,
+                             max_size=3),
+       dropped=st.sets(st.sampled_from(list(TINY_MODEL.to_dict())), max_size=2),
+       cut=st.none() | st.integers(min_value=0, max_value=num_params(TINY_MODEL) * 4))
+@example(edits={"seed": []}, dropped=set(), cut=None)
+@example(edits={"max_len": 16.5}, dropped=set(), cut=None)
+@example(edits={"hidden_size": 16.0}, dropped=set(), cut=None)
+def test_load_checkpoint_fuzz_header_edits(edits, dropped, cut):
+    header = {k: v for k, v in {**TINY_MODEL.to_dict(), **edits}.items() if k not in dropped}
+    body = init_params(TINY_MODEL).flat.astype("<f4").tobytes()[:cut]
+    loads_or_checkpoint_error(with_header(json.dumps(header).encode(), body))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=80), st.booleans())
+@example(b"[" * 100_000, True)  # deeper than the recursion limit
+def test_load_checkpoint_fuzz_raw_bytes(raw, as_header):
+    """Arbitrary bytes after the magic, or as a config header of the stated length."""
+    loads_or_checkpoint_error(with_header(raw) if as_header else CHECKPOINT_MAGIC + raw)
 
 
 def test_checkpoint_magic_constant():
