@@ -38,7 +38,10 @@ def _load_model(checkpoint_path: str, vocab_path: str):
     with open(checkpoint_path, "rb") as f:
         params = harness.load_checkpoint(f)
     with open(vocab_path, encoding="utf-8") as f:
-        vocab = Vocab.load(f)
+        try:
+            vocab = Vocab.load(f)
+        except ValueError as exc:  # empty, or not the reserved tokens first
+            raise CheckpointError(f"bad vocab file: {exc}") from exc
     if params.config.vocab_size != len(vocab):
         raise CheckpointError(
             f"checkpoint vocab_size {params.config.vocab_size} != vocab size {len(vocab)}")
@@ -59,14 +62,12 @@ def cmd_stats(args) -> None:
 
 def cmd_train(args) -> None:
     with open(args.config, encoding="utf-8") as f:
-        cfg_obj = json.load(f)
+        config = TrainConfig.from_dict(json.load(f))
     if args.epochs is not None:
-        cfg_obj["num_epochs"] = args.epochs
+        config = replace(config, num_epochs=args.epochs)
     if args.seed is not None:
-        cfg_obj["base_seed"] = args.seed
-        cfg_obj.setdefault("model", {})["seed"] = args.seed
-        cfg_obj.setdefault("sampling", {})["seed"] = args.seed
-    config = TrainConfig.from_dict(cfg_obj)
+        config = replace(config, base_seed=args.seed, model=replace(config.model, seed=args.seed),
+                         sampling=replace(config.sampling, seed=args.seed))
     train_set = _load_dataset(args.train, split="train")
     dev_set = _load_dataset(args.dev, split="dev") if args.dev else None
     out = Path(args.out_dir)

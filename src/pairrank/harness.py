@@ -82,6 +82,8 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
         """Build from parsed JSON; an unknown key raises ValueError naming it."""
+        if not isinstance(obj, dict):
+            raise ValueError("train config must be a JSON object")
         try:
             obj = dict(obj)
             model = ModelConfig(**{"vocab_size": 4, **obj.pop("model", {})})
@@ -152,11 +154,11 @@ def load_checkpoint(stream: IO[bytes]) -> ModelParams:
         config = ModelConfig(**json.loads(header.decode("utf-8")))
     except (ValueError, TypeError, RecursionError) as exc:  # bad UTF-8 or JSON, bad keys
         raise CheckpointError(f"bad checkpoint config: {exc}") from exc
-    expected = num_params(config)
-    raw = stream.read(expected * 4)
-    if len(raw) != expected * 4:
+    expected = num_params(config) * 4
+    raw = stream.read()  # never more than the stream holds, whatever the header claims
+    if len(raw) < expected:
         raise CheckpointError("truncated checkpoint parameters")
-    if stream.read(1):
+    if len(raw) > expected:
         raise CheckpointError("trailing bytes after checkpoint parameters")
     flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     if not np.all(np.isfinite(flat)):

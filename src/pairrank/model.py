@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .rng import DeterministicRng
-from .textenc import EncodedPair
+from .textenc import MIN_MAX_LEN, PAD_ID, EncodedPair, segment_ids
 
 _INIT_STREAM = 201
 _DROPOUT_STREAM = 202
@@ -62,6 +62,8 @@ class ModelConfig:
             raise ValueError("model sizes and seed must be integers")
         if min(sizes) < 1:
             raise ValueError("all model sizes must be >= 1")
+        if self.max_len < MIN_MAX_LEN:  # the shortest length encode_pair packs
+            raise ValueError(f"max_len must be >= {MIN_MAX_LEN}")
         if self.hidden_size % self.num_heads != 0:
             raise ValueError("hidden_size must be divisible by num_heads")
         if self.ffn_size < self.hidden_size:
@@ -205,17 +207,6 @@ def _dropout(rng: DeterministicRng | None, x: np.ndarray, rate: float):
     return x * mask, mask
 
 
-def _stack_batch(batch: Sequence[EncodedPair], max_len: int):
-    """Stack a batch and trim it after its last real (non-PAD) position."""
-    ids = np.stack([p.token_ids for p in batch])
-    segs = np.stack([p.segment_ids for p in batch])
-    mask = np.stack([p.attention_mask for p in batch])
-    if ids.shape[1] != max_len:
-        raise ValueError(f"encoded length {ids.shape[1]} != config.max_len {max_len}")
-    T = max_len - int(np.argmax(mask.any(axis=0)[::-1]))
-    return ids[:, :T], segs[:, :T], mask[:, :T]
-
-
 def forward(params: ModelParams, batch: Sequence[EncodedPair],
             train_mode: bool = False, dropout_seed: int = 0):
     """Score a batch of encoded pairs; returns (scores, cache).
@@ -226,8 +217,14 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     cfg = params.config
-    ids, segs, mask = _stack_batch(batch, cfg.max_len)
-    B, T = ids.shape
+    ids = np.stack([p.token_ids for p in batch])
+    if ids.shape[1] != cfg.max_len:
+        raise ValueError(f"encoded length {ids.shape[1]} != config.max_len {cfg.max_len}")
+    real = ids != PAD_ID
+    T = cfg.max_len - int(np.argmax(real.any(axis=0)[::-1]))  # trim after the last real position
+    ids, real = ids[:, :T], real[:, :T]
+    segs = segment_ids(ids)
+    B = len(batch)
     H, A = cfg.hidden_size, cfg.num_heads
     dh = H // A
     scale = 1.0 / np.sqrt(dh)
@@ -238,7 +235,7 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
 
     x = params["tok_emb"][ids] + params["pos_emb"][:T] + params["seg_emb"][segs]
     # additive key mask: 0 on real tokens, -inf on PAD keys
-    add_mask = np.where(mask[:, None, None, :] == 1, 0.0, -np.inf)
+    add_mask = np.where(real[:, None, None, :], 0.0, -np.inf)
 
     layers = []
     for l in range(cfg.num_layers):

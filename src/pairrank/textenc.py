@@ -7,7 +7,8 @@ looked up once, the first time it is seen.
 Sequences follow the sentence-pair convention: position 0 holds the
 classification token, the question occupies segment 0 up to and including
 the first separator, the answer occupies segment 1 up to and including the
-second separator, and the remainder is padding.
+second separator, and the remainder is padding. No text token maps to a
+reserved id, so the token ids alone fix the mask and the segments.
 """
 
 from __future__ import annotations
@@ -86,9 +87,18 @@ def build_vocab(texts: Iterable[str], min_freq: int = 1) -> Vocab:
 
 @dataclass(frozen=True)
 class EncodedPair:
-    token_ids: np.ndarray      # (max_len,) int64
-    segment_ids: np.ndarray    # (max_len,) int64, 0 = question side, 1 = answer side
-    attention_mask: np.ndarray  # (max_len,) int64, 1 on non-PAD positions
+    token_ids: np.ndarray  # (max_len,) int64: [CLS] q [SEP] a [SEP] PAD...
+
+    # metrics.rank_dataset orders pairs by its sum; perfbench/spans.py reads it for pad_fraction
+    @property
+    def attention_mask(self) -> np.ndarray:  # (max_len,) int64, 1 on non-PAD positions
+        return (self.token_ids != PAD_ID).astype(np.int64)
+
+
+def segment_ids(token_ids: np.ndarray) -> np.ndarray:
+    """1 after the first [SEP] up to and including the second, 0 elsewhere (last axis)."""
+    sep = token_ids == SEP_ID
+    return (np.cumsum(sep, axis=-1) - sep == 1).astype(np.int64)
 
 
 def encode_pair(vocab: Vocab, question: str, answer: str, max_len: int = 128) -> EncodedPair:
@@ -109,11 +119,6 @@ def encode_pair(vocab: Vocab, question: str, answer: str, max_len: int = 128) ->
     get = vocab.ids.get
     ids = [CLS_ID, *[get(t, UNK_ID) for t in q_tokens], SEP_ID,
            *[get(t, UNK_ID) for t in a_tokens], SEP_ID]
-    n = len(ids)
-    token_ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    token_ids[:n] = ids
-    segment_ids = np.zeros(max_len, dtype=np.int64)
-    segment_ids[len(q_tokens) + 2:n] = 1
-    mask = np.zeros(max_len, dtype=np.int64)
-    mask[:n] = 1
-    return EncodedPair(token_ids=token_ids, segment_ids=segment_ids, attention_mask=mask)
+    token_ids = np.zeros(max_len, dtype=np.int64)  # PAD_ID is 0
+    token_ids[:len(ids)] = ids
+    return EncodedPair(token_ids)

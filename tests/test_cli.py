@@ -256,15 +256,31 @@ def test_checkpoint_independent_of_blas_threads(workspace, model_overrides):
     assert checkpoints[0] == checkpoints[1]
 
 
-def train_with_config(ws: Path, config: dict) -> list[str]:
+def train_with_config(ws: Path, config: dict | list, *flags: str) -> list[str]:
     (ws / "bad_config.json").write_text(json.dumps(config))
     return ["train", "--train", str(ws / "train.jsonl"), "--config", str(ws / "bad_config.json"),
-            "--out-dir", str(ws / "bad_run")]
+            "--out-dir", str(ws / "bad_run"), *flags]
 
 
 def eval_with_checkpoint(ws: Path, **rewrite) -> list[str]:
     rewrite_checkpoint(ws / "init.ckpt", ws / "bad.ckpt", **rewrite)
     return ["eval", "--checkpoint", str(ws / "bad.ckpt"), "--vocab", str(ws / "init_vocab.txt"),
+            "--data", str(ws / "dev.jsonl")]
+
+
+def eval_with_max_len(ws: Path, max_len: int) -> list[str]:
+    """A checkpoint whose header claims ``max_len``, with pos_emb cut to match."""
+    vocab_size = len((ws / "init_vocab.txt").read_text().splitlines())
+    hidden, old_len = TRAIN_CONFIG["model"]["hidden_size"], TRAIN_CONFIG["model"]["max_len"]
+    start = (vocab_size + max_len) * hidden * 4  # pos_emb follows tok_emb
+    end = (vocab_size + old_len) * hidden * 4
+    return eval_with_checkpoint(ws, edit_header=lambda h: {**h, "max_len": max_len},
+                                edit_params=lambda b: b[:start] + b[end:])
+
+
+def eval_with_vocab(ws: Path, text: str) -> list[str]:
+    (ws / "bad_vocab.txt").write_text(text)
+    return ["eval", "--checkpoint", str(ws / "init.ckpt"), "--vocab", str(ws / "bad_vocab.txt"),
             "--data", str(ws / "dev.jsonl")]
 
 
@@ -304,6 +320,11 @@ MALFORMED = {
         ws, {**TRAIN_CONFIG, "model": {**TRAIN_CONFIG["model"], "hidden_size": 16.0}}), 1),
     "config-unknown-filter-mode": (lambda ws: train_with_config(
         ws, {**TRAIN_CONFIG, "filter_mode": "bogus"}), 1),
+    "config-not-object": (lambda ws: train_with_config(ws, []), 1),
+    # --epochs and --seed apply to the validated config, not to the raw JSON
+    "config-not-object-epochs": (lambda ws: train_with_config(ws, [], "--epochs", "1"), 1),
+    "config-null-model-seed": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "model": None}, "--seed", "1"), 1),
     # SGD at this rate drives the logits past +/-709 within a few steps
     "config-sgd-diverges": (lambda ws: train_with_config(
         ws, {**TRAIN_CONFIG, "optimizer": "sgd", "learning_rate": 1e6}), 3),
@@ -315,10 +336,16 @@ MALFORMED = {
         ws, edit_header=lambda h: {**h, "max_len": 16.5}), 2),
     "checkpoint-integral-float-size": (lambda ws: eval_with_checkpoint(
         ws, edit_header=lambda h: {**h, "hidden_size": 16.0}), 2),
+    "checkpoint-max-len-below-min": (lambda ws: eval_with_max_len(ws, 4), 2),
+    # the header implies over 10**16 parameters; the file holds far fewer bytes
+    "checkpoint-huge-vocab-size": (lambda ws: eval_with_checkpoint(
+        ws, edit_header=lambda h: {**h, "vocab_size": 10**15}), 2),
     "checkpoint-trailing-bytes": (lambda ws: eval_with_checkpoint(ws, trailing=b"\0" * 4), 2),
     # the parameters start with tok_emb, so this puts one NaN into tok_emb[0, 0]
     "checkpoint-nan-parameter": (lambda ws: eval_with_checkpoint(
         ws, edit_params=lambda b: struct.pack("<f", float("nan")) + b[4:]), 2),
+    "vocab-missing-reserved": (lambda ws: eval_with_vocab(ws, "[PAD]\n[UNK]\nword\n[SEP]\n"), 2),
+    "vocab-empty": (lambda ws: eval_with_vocab(ws, ""), 2),
     "corpus-not-utf8": (stats_non_utf8, 2),
     "corpus-huge-integer": (lambda ws: stats_of_line(ws, '{"question_id": ' + "1" * 4301 + "}"), 2),
     "corpus-deep-nesting": (lambda ws: stats_of_line(ws, "[" * 100_000), 2),

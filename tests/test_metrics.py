@@ -296,7 +296,7 @@ def test_sorted_batches_forward_each_pair_once_in_length_order(dataset, monkeypa
     forwarded = [p for batch in batches for p in batch]
 
     def key(p):
-        return p.token_ids.tobytes(), p.segment_ids.tobytes()
+        return p.token_ids.tobytes()
     assert sorted(map(key, forwarded)) == sorted(map(key, expected))
     lengths = [int(p.attention_mask.sum()) for p in forwarded]
     assert lengths == sorted(lengths)

@@ -16,6 +16,7 @@ from pairrank.textenc import (
     Vocab,
     build_vocab,
     encode_pair,
+    segment_ids,
     tokenize,
 )
 
@@ -69,7 +70,7 @@ def test_encode_pair_layout():
     ids = [CLS_ID, v.ids["who"], v.ids["wrote"], v.ids["hamlet"], SEP_ID,
            v.ids["shakespeare"], v.ids["wrote"], v.ids["hamlet"], SEP_ID] + [PAD_ID] * 7
     assert pair.token_ids.tolist() == ids
-    assert pair.segment_ids.tolist() == [0] * 5 + [1] * 4 + [0] * 7
+    assert segment_ids(pair.token_ids).tolist() == [0] * 5 + [1] * 4 + [0] * 7
     assert pair.attention_mask.tolist() == [1] * 9 + [0] * 7
 
 
@@ -87,7 +88,7 @@ def test_encode_pair_truncates_answer_first():
     mask_len = int(pair.attention_mask.sum())
     assert mask_len == 12
     # CLS + 3 question tokens + SEP + 6 answer tokens + SEP
-    assert pair.segment_ids.tolist().count(1) == 7
+    assert segment_ids(pair.token_ids).tolist().count(1) == 7
     assert pair.token_ids.tolist().count(SEP_ID) == 2
 
 
@@ -98,7 +99,7 @@ def test_encode_pair_truncates_question_when_needed():
     assert int(pair.attention_mask.sum()) == 10
     assert pair.token_ids.tolist().count(SEP_ID) == 2
     # answer is cut first, down to one token, before the question is touched
-    assert pair.segment_ids.tolist().count(1) == 2
+    assert segment_ids(pair.token_ids).tolist().count(1) == 2
 
 
 def test_encode_pair_min_len_rejected():
@@ -119,7 +120,7 @@ def test_mask_is_prefix_and_segments_zero_on_pad():
     mask = pair.attention_mask.tolist()
     n = sum(mask)
     assert mask == [1] * n + [0] * (10 - n)
-    assert all(s == 0 for s, m in zip(pair.segment_ids, mask) if m == 0)
+    assert all(s == 0 for s, m in zip(segment_ids(pair.token_ids), mask) if m == 0)
 
 
 def test_mask_sum_counts_tokens():
@@ -138,7 +139,7 @@ def test_decode_reencode_roundtrip():
     a = " ".join(toks[sep1 + 1:-1])
     again = encode_pair(v, q, a, max_len=16)
     assert np.array_equal(again.token_ids, pair.token_ids)
-    assert np.array_equal(again.segment_ids, pair.segment_ids)
+    assert np.array_equal(segment_ids(again.token_ids), segment_ids(pair.token_ids))
     assert np.array_equal(again.attention_mask, pair.attention_mask)
 
 
@@ -178,12 +179,12 @@ def reference_encode_pair(vocab, question, answer, max_len):
     segs = [0] * (2 + len(q_tokens)) + [1] * (len(a_tokens) + 1)
     n = len(ids)
     token_ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    segment_ids = np.zeros(max_len, dtype=np.int64)
+    segments = np.zeros(max_len, dtype=np.int64)
     mask = np.zeros(max_len, dtype=np.int64)
     token_ids[:n] = ids
-    segment_ids[:n] = segs
+    segments[:n] = segs
     mask[:n] = 1
-    return token_ids, segment_ids, mask
+    return token_ids, segments, mask
 
 
 @settings(max_examples=300, deadline=None)
@@ -219,6 +220,17 @@ def test_encode_pair_matches_reference(max_len):
         question, answer = text(0, 30), text(0, 150)
         pair = encode_pair(vocab, question, answer, max_len=max_len)
         expected = reference_encode_pair(vocab, question, answer, max_len)
-        for got, want in zip((pair.token_ids, pair.segment_ids, pair.attention_mask), expected):
+        got_arrays = (pair.token_ids, segment_ids(pair.token_ids), pair.attention_mask)
+        for got, want in zip(got_arrays, expected):
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
+
+
+def test_segment_ids_on_a_batch_match_each_row():
+    rnd = random.Random(3)
+    vocab = build_vocab(["a b c d e f"])
+    pairs = [encode_pair(vocab, " ".join(rnd.choices("abcxyz", k=rnd.randint(0, 9))),
+                         " ".join(rnd.choices("abcxyz", k=rnd.randint(0, 30))), max_len=16)
+             for _ in range(50)]
+    batch = np.stack([p.token_ids for p in pairs])
+    assert np.array_equal(segment_ids(batch), [segment_ids(p.token_ids) for p in pairs])
