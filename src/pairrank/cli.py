@@ -40,7 +40,7 @@ def _load_model(checkpoint_path: str, vocab_path: str):
     with open(vocab_path, encoding="utf-8") as f:
         try:
             vocab = Vocab.load(f)
-        except ValueError as exc:  # empty, or not the reserved tokens first
+        except ValueError as exc:  # empty, not the reserved tokens first, or a token twice
             raise CheckpointError(f"bad vocab file: {exc}") from exc
     if params.config.vocab_size != len(vocab):
         raise CheckpointError(

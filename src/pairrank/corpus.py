@@ -20,7 +20,9 @@ from typing import IO, Iterable
 log = logging.getLogger(__name__)
 
 SPLITS = ("train", "dev", "test")
-FILTER_MODES = ("keep_all", "require_positive", "require_both")
+# the labels a question must have among its candidates to be evaluated, per filter mode
+_REQUIRED_LABELS = {"keep_all": set(), "require_positive": {True}, "require_both": {True, False}}
+FILTER_MODES = tuple(_REQUIRED_LABELS)
 
 _QUESTION_KEYS = {"question_id", "question_text", "candidates"}
 _CANDIDATE_KEYS = {"answer_id", "text", "label"}
@@ -185,21 +187,15 @@ def compute_stats(dataset: Dataset) -> DatasetStats:
     )
 
 
-def filter_evaluable(dataset: Dataset, mode: str = "require_positive") -> Dataset:
-    """Drop questions that cannot be evaluated under the given mode."""
+def filter_evaluable(dataset: Dataset, mode: str) -> Dataset:
+    """The questions evaluable under ``mode``; CorpusError when none is left."""
     if mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {mode!r}, expected one of {FILTER_MODES}")
-    if mode == "keep_all":
-        return dataset
-    kept = []
-    for q in dataset.questions:
-        pos = any(c.label for c in q.candidates)
-        neg = any(not c.label for c in q.candidates)
-        if mode == "require_positive" and pos:
-            kept.append(q)
-        elif mode == "require_both" and pos and neg:
-            kept.append(q)
-    return Dataset(name=dataset.name, split=dataset.split, questions=tuple(kept))
+    kept = tuple(q for q in dataset.questions
+                 if _REQUIRED_LABELS[mode] <= {c.label for c in q.candidates})
+    if not kept:
+        raise CorpusError("no questions left to evaluate after filtering")
+    return Dataset(name=dataset.name, split=dataset.split, questions=kept)
 
 
 def convert_tsv(rows: Iterable[str], name: str = "dataset", split: str = "train") -> Dataset:

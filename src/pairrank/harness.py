@@ -18,7 +18,7 @@ from typing import IO
 
 import numpy as np
 
-from .corpus import FILTER_MODES, Dataset
+from .corpus import FILTER_MODES, Dataset, filter_evaluable
 from .metrics import evaluate
 from .model import ModelConfig, ModelParams, backward, forward, init_params, num_params
 from .objective import LossConfig, batch_loss
@@ -65,6 +65,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if any(type(v) is bool for v in (self.learning_rate, self.adam_beta1,
+                                         self.adam_beta2, self.adam_epsilon)):
+            raise ValueError("learning_rate and the adam settings must be numbers, not booleans")
         # every comparison with NaN is false, so NaN fails both checks
         if not (0 < self.learning_rate < math.inf and 0 < self.adam_epsilon < math.inf):
             raise ValueError("learning_rate and adam_epsilon must be finite and > 0")
@@ -185,6 +188,8 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset | None = Non
     triples = generate_triples(train_set, config.sampling)
     if not triples:
         raise ValueError("no training triples (every question lacks a positive or a negative)")
+    if dev_set is not None:
+        filter_evaluable(dev_set, config.filter_mode)  # nothing to evaluate fails before step 1
 
     # encode each (question, candidate) pair that a triple uses, once
     used = {(t.question_id, a) for t in triples for a in (t.positive_id, t.negative_id)}

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from typing import IO, Sequence
 
+import numpy as np
+
 from .corpus import Dataset, Question, filter_evaluable
 from .model import ModelParams, forward
 from .textenc import Vocab, encode_pair
@@ -65,7 +67,7 @@ def rank_candidates(question: Question, scores: Sequence[float]) -> RankedList:
         raise ValueError(
             f"question {question.question_id}: {len(scores)} scores for "
             f"{len(question.candidates)} candidates")
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    order = sorted(range(len(scores)), key=lambda i: -scores[i])
     entries = tuple((question.candidates[i].answer_id, float(scores[i]),
                      question.candidates[i].label) for i in order)
     return RankedList(question_id=question.question_id, entries=entries)
@@ -122,7 +124,7 @@ def rank_dataset(params: ModelParams, vocab: Vocab, dataset: Dataset) -> list[Ra
              for q in dataset.questions for c in q.candidates]
     # forward in order of packed length, so each batch trims to little padding;
     # the sort is stable, so pairs of equal length keep their input order
-    order = sorted(range(len(pairs)), key=lambda i: int(pairs[i].attention_mask.sum()))
+    order = sorted(range(len(pairs)), key=lambda i: np.count_nonzero(pairs[i].token_ids))
     scores = [0.0] * len(pairs)
     for start in range(0, len(order), BATCH_SIZE):
         batch = order[start:start + BATCH_SIZE]
@@ -142,16 +144,13 @@ def evaluate(params: ModelParams, vocab: Vocab, dataset: Dataset,
              filter_mode: str = "require_positive") -> EvalReport:
     """Filter, score, rank, and aggregate MRR/MAP over a dataset."""
     kept = filter_evaluable(dataset, filter_mode)
-    if not kept.questions:
-        raise ValueError("no questions left to evaluate after filtering")
     rankings = rank_dataset(params, vocab, kept)
     return compute_report(kept.questions, rankings, filter_mode,
                           num_skipped=len(dataset.questions) - len(kept.questions))
 
 
-def write_trec_run(rankings: Sequence[RankedList], stream: IO[str],
-                   run_tag: str = "pairrank") -> None:
-    """TREC run format: question_id Q0 answer_id rank score run_tag."""
+def write_trec_run(rankings: Sequence[RankedList], stream: IO[str]) -> None:
+    """TREC run format: question_id Q0 answer_id rank score pairrank."""
     for ranked in rankings:
         for rank, (answer_id, score, _) in enumerate(ranked.entries, start=1):
-            stream.write(f"{ranked.question_id} Q0 {answer_id} {rank} {score:.6f} {run_tag}\n")
+            stream.write(f"{ranked.question_id} Q0 {answer_id} {rank} {score:.6f} pairrank\n")

@@ -68,8 +68,8 @@ class ModelConfig:
             raise ValueError("hidden_size must be divisible by num_heads")
         if self.ffn_size < self.hidden_size:
             raise ValueError("ffn_size must be >= hidden_size")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+        if type(self.dropout_rate) is bool or not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must be a number in [0, 1)")
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -167,10 +167,9 @@ def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv_std
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)
+    xhat = xc * inv_std
     return gain * xhat + bias, (xhat, inv_std)
 
 

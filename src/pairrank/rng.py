@@ -14,11 +14,11 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_NORMAL_CUTOFF = 2.0
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer (xor-shift / multiply avalanche), wrapping in uint64."""
-    z = z.astype(np.uint64, copy=True)
+    """splitmix64 finalizer of a fresh uint64 array, in place and wrapping; returns it."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
@@ -39,7 +39,7 @@ class DeterministicRng:
     the same base seed but different stream ids never share outputs.
     """
 
-    def __init__(self, seed: int, stream: int = 0):
+    def __init__(self, seed: int, stream: int):
         self._key = _mix64(_mix64(seed & _MASK64) ^ ((stream * _GOLDEN_GAMMA) & _MASK64))
         self._counter = 0
 
@@ -50,8 +50,8 @@ class DeterministicRng:
         z = _mix64_array(np.uint64(self._key) + idx * np.uint64(_GOLDEN_GAMMA))
         return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
-    def truncated_normal(self, n: int, cutoff: float = 2.0) -> np.ndarray:
-        """``n`` standard-normal draws rejected outside +/- ``cutoff``."""
+    def truncated_normal(self, n: int) -> np.ndarray:
+        """``n`` standard-normal draws rejected outside +/- 2 (``_NORMAL_CUTOFF``)."""
         out = np.empty(n, dtype=np.float64)
         filled = 0
         while filled < n:
@@ -61,7 +61,7 @@ class DeterministicRng:
             u1 = np.maximum(u1, 2.0 ** -53)  # avoid log(0)
             r = np.sqrt(-2.0 * np.log(u1))
             z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
-            z = z[np.abs(z) <= cutoff]
+            z = z[np.abs(z) <= _NORMAL_CUTOFF]
             take = min(need, z.size)
             out[filled:filled + take] = z[:take]
             filled += take

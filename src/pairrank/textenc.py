@@ -55,6 +55,8 @@ class Vocab:
         if self.tokens[:4] != RESERVED_TOKENS:
             raise ValueError("first four vocab entries must be the reserved tokens")
         object.__setattr__(self, "ids", {tok: i for i, tok in enumerate(self.tokens)})
+        if len(self.ids) != len(self.tokens):
+            raise ValueError("a vocab token is listed twice")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -69,19 +71,16 @@ class Vocab:
         return cls(tokens=tokens)
 
 
-def build_vocab(texts: Iterable[str], min_freq: int = 1) -> Vocab:
-    """Vocabulary of all tokens with frequency >= min_freq.
+def build_vocab(texts: Iterable[str]) -> Vocab:
+    """Vocabulary of every token in ``texts``.
 
     Non-reserved ids are assigned by descending frequency, ties broken
     lexicographically, so the result is fully deterministic.
     """
-    if min_freq < 1:
-        raise ValueError("min_freq must be >= 1")
     counts: Counter[str] = Counter()
     for text in texts:
         counts.update(tokenize(text))
-    kept = sorted((tok for tok, n in counts.items() if n >= min_freq),
-                  key=lambda tok: (-counts[tok], tok))
+    kept = sorted(counts, key=lambda tok: (-counts[tok], tok))
     return Vocab(tokens=RESERVED_TOKENS + tuple(kept))
 
 
@@ -89,7 +88,7 @@ def build_vocab(texts: Iterable[str], min_freq: int = 1) -> Vocab:
 class EncodedPair:
     token_ids: np.ndarray  # (max_len,) int64: [CLS] q [SEP] a [SEP] PAD...
 
-    # metrics.rank_dataset orders pairs by its sum; perfbench/spans.py reads it for pad_fraction
+    # read only by perfbench/spans.py, for model.pad_fraction
     @property
     def attention_mask(self) -> np.ndarray:  # (max_len,) int64, 1 on non-PAD positions
         return (self.token_ids != PAD_ID).astype(np.int64)

@@ -284,6 +284,28 @@ def eval_with_vocab(ws: Path, text: str) -> list[str]:
             "--data", str(ws / "dev.jsonl")]
 
 
+def vocab_with_duplicate(ws: Path) -> list[str]:
+    """The fixture vocabulary with its sixth token replaced by the fifth (same size)."""
+    tokens = (ws / "init_vocab.txt").read_text().splitlines()
+    tokens[5] = tokens[4]
+    return eval_with_vocab(ws, "\n".join(tokens) + "\n")
+
+
+def eval_of_data(ws: Path, text: str) -> list[str]:
+    (ws / "odd_data.jsonl").write_text(text)
+    return ["eval", "--checkpoint", str(ws / "init.ckpt"), "--vocab", str(ws / "init_vocab.txt"),
+            "--data", str(ws / "odd_data.jsonl")]
+
+
+UNANSWERABLE = json.dumps({"question_id": "q1", "question_text": "who wrote it", "candidates": [
+    {"answer_id": "a1", "text": "nobody", "label": False}]}) + "\n"  # no correct answer
+
+
+def train_with_dev(ws: Path, text: str) -> list[str]:
+    (ws / "odd_dev.jsonl").write_text(text)
+    return train_with_config(ws, TRAIN_CONFIG, "--dev", str(ws / "odd_dev.jsonl"))
+
+
 def train_into_file(ws: Path) -> list[str]:
     (ws / "not_a_dir").write_text("")
     return ["train", "--train", str(ws / "train.jsonl"), "--config", str(ws / "config.json"),
@@ -313,6 +335,13 @@ MALFORMED = {
         ws, {**TRAIN_CONFIG, "learning_rate": float("inf")}), 1),
     "config-nan-learning-rate": (lambda ws: train_with_config(
         ws, {**TRAIN_CONFIG, "learning_rate": float("nan")}), 1),
+    "config-nan-lambda1": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "loss": {**TRAIN_CONFIG["loss"], "lambda1": float("nan")}}), 1),
+    "config-infinite-lambda2": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "loss": {**TRAIN_CONFIG["loss"], "lambda2": float("inf")}}), 1),
+    # a bool is not a number, though Python counts True as 1
+    "config-bool-learning-rate": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "learning_rate": True}), 1),
     # sizes and counts must be ints: 8.0 and 16.0 are not, though integral
     "config-float-batch-size": (lambda ws: train_with_config(
         ws, {**TRAIN_CONFIG, "batch_size": 8.0}), 1),
@@ -346,6 +375,11 @@ MALFORMED = {
         ws, edit_params=lambda b: struct.pack("<f", float("nan")) + b[4:]), 2),
     "vocab-missing-reserved": (lambda ws: eval_with_vocab(ws, "[PAD]\n[UNK]\nword\n[SEP]\n"), 2),
     "vocab-empty": (lambda ws: eval_with_vocab(ws, ""), 2),
+    "vocab-duplicate-token": (vocab_with_duplicate, 2),
+    # nothing left to evaluate after filtering is bad data, found before training starts
+    "eval-empty-data": (lambda ws: eval_of_data(ws, ""), 2),
+    "eval-unevaluable-data": (lambda ws: eval_of_data(ws, UNANSWERABLE), 2),
+    "train-unevaluable-dev": (lambda ws: train_with_dev(ws, UNANSWERABLE), 2),
     "corpus-not-utf8": (stats_non_utf8, 2),
     "corpus-huge-integer": (lambda ws: stats_of_line(ws, '{"question_id": ' + "1" * 4301 + "}"), 2),
     "corpus-deep-nesting": (lambda ws: stats_of_line(ws, "[" * 100_000), 2),

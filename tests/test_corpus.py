@@ -161,6 +161,24 @@ def test_filter_idempotent(mode):
     assert filter_evaluable(once, mode) == once
 
 
+def _one_label_dataset(label: bool) -> Dataset:
+    return Dataset(name="d", split="dev", questions=tuple(
+        Question(f"q{i}", "t", (CandidateAnswer("a", "x", label),
+                                CandidateAnswer("b", "y", label))) for i in range(3)))
+
+
+@pytest.mark.parametrize("mode, ds", [
+    ("keep_all", Dataset(name="d", split="dev", questions=())),
+    ("require_positive", Dataset(name="d", split="dev", questions=())),
+    ("require_positive", _one_label_dataset(False)),
+    ("require_both", _one_label_dataset(False)),
+    ("require_both", _one_label_dataset(True)),
+])
+def test_filter_raises_when_nothing_is_left(mode, ds):
+    with pytest.raises(CorpusError, match="no questions left"):
+        filter_evaluable(ds, mode)
+
+
 def test_convert_tsv():
     rows = [
         "q1\twho wrote hamlet\tshakespeare wrote it\t1",

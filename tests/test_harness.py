@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairrank import harness
+from pairrank.corpus import CorpusError
 from pairrank.harness import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -42,7 +43,9 @@ def test_config_validation():
                 dict(eval_every=-1), dict(learning_rate=0.0), dict(learning_rate=math.inf),
                 dict(learning_rate=math.nan), dict(adam_beta1=1.0), dict(adam_beta1=-0.1),
                 dict(adam_beta2=math.nan), dict(adam_epsilon=0.0),
-                dict(adam_epsilon=math.inf), dict(adam_epsilon=math.nan)):
+                dict(adam_epsilon=math.inf), dict(adam_epsilon=math.nan),
+                dict(learning_rate=True), dict(adam_beta1=False), dict(adam_beta2=False),
+                dict(adam_epsilon=True)):
         with pytest.raises(ValueError):
             tiny_train_config(**bad)
 
@@ -239,6 +242,16 @@ def test_train_aborts_on_non_finite_parameter(monkeypatch):
     with pytest.raises(NumericalAbort) as info:
         train(tiny_train_config(num_epochs=2), ds)
     assert info.value.step == 3  # numbered from 1, as in history.json
+
+
+def test_train_rejects_unevaluable_dev_set_before_any_step(monkeypatch):
+    def must_not_forward(*args, **kwargs):
+        raise AssertionError("a training step ran before the dev set was checked")
+    monkeypatch.setattr(harness, "forward", must_not_forward)
+    train_set = make_separable_corpus(6, num_neg=2, seed=3)
+    dev_set = make_separable_corpus(3, num_neg=0, seed=4, split="dev")  # no negatives
+    with pytest.raises(CorpusError, match="no questions left"):
+        train(tiny_train_config(filter_mode="require_both"), train_set, dev_set)
 
 
 def test_train_rejects_tripleless_dataset():

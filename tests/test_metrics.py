@@ -199,8 +199,8 @@ def test_rr_lower_bound_with_positive():
 def test_trec_run_format():
     ranked = RankedList("q1", (("a2", 0.9, True), ("a1", 0.5, False)))
     buf = io.StringIO()
-    write_trec_run([ranked], buf, run_tag="t")
-    assert buf.getvalue() == "q1 Q0 a2 1 0.900000 t\nq1 Q0 a1 2 0.500000 t\n"
+    write_trec_run([ranked], buf)
+    assert buf.getvalue() == "q1 Q0 a2 1 0.900000 pairrank\nq1 Q0 a1 2 0.500000 pairrank\n"
 
 
 def test_report_json_keys():

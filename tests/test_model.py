@@ -6,6 +6,7 @@ import pytest
 from pairrank.model import (
     _DROPOUT_STREAM,
     _embedding_grad,
+    _layer_norm,
     ModelConfig,
     ModelParams,
     backward,
@@ -87,6 +88,8 @@ def test_config_validation():
         ModelConfig(vocab_size=10, dropout_rate=1.0)
     with pytest.raises(ValueError):  # shorter than encode_pair packs
         ModelConfig(vocab_size=10, max_len=4)
+    with pytest.raises(ValueError):  # a bool is not a rate
+        ModelConfig(vocab_size=10, dropout_rate=False)
 
 
 def test_forward_scores_in_open_interval(tiny_setup):
@@ -229,6 +232,18 @@ def _ref_layer_norm(x, gain, bias):
     inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-12)
     xhat = (x - mu) * inv_std
     return gain * xhat + bias, (xhat, inv_std)
+
+
+@pytest.mark.parametrize("shape", [(3, 16), (2, 5, 16), (4, 1, 64), (2, 7, 33), (1, 1, 2)])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e8])
+def test_layer_norm_matches_var_formula_bitwise(shape, scale):
+    rs = np.random.default_rng(sum(shape))
+    x = (rs.standard_normal(shape) + 3.0 * rs.standard_normal(shape[-1])) * scale
+    gain, bias = rs.standard_normal(shape[-1]), rs.standard_normal(shape[-1])
+    (y, (xhat, inv_std)), (ry, (rxhat, rinv_std)) = (
+        _layer_norm(x, gain, bias), _ref_layer_norm(x, gain, bias))
+    assert np.array_equal(y, ry) and np.array_equal(xhat, rxhat)
+    assert np.array_equal(inv_std, rinv_std)
 
 
 def _ref_layer_norm_backward(dy, gain, cache):

@@ -109,6 +109,10 @@ def test_config_validation():
         LossConfig(margin=1.5)
     with pytest.raises(ValueError):
         LossConfig(epsilon=1e-2)
+    for bad in (dict(lambda1=math.nan), dict(lambda2=math.inf), dict(lambda1=-math.inf),
+                dict(lambda1=True), dict(lambda2=False), dict(margin=math.nan)):
+        with pytest.raises(ValueError):
+            LossConfig(**bad)
 
 
 def test_clamp_makes_loss_total():

@@ -35,15 +35,14 @@ def test_tokenize_punctuation_split():
 
 
 def test_build_vocab_order():
-    v = build_vocab(["a a b"], min_freq=1)
+    v = build_vocab(["a a b"])
     assert v.tokens == RESERVED_TOKENS + ("a", "b")
     assert v.ids["a"] == 4 and v.ids["b"] == 5
 
 
-def test_build_vocab_min_freq():
-    v = build_vocab(["a a b"], min_freq=2)
-    assert "b" not in v.tokens
-    assert "b" not in v.ids
+def test_vocab_rejects_duplicate_token():
+    with pytest.raises(ValueError, match="twice"):
+        Vocab(tokens=RESERVED_TOKENS + ("a", "b", "a"))
 
 
 def test_build_vocab_empty():
