@@ -42,9 +42,6 @@ def _load_model(checkpoint_path: str, vocab_path: str):
             vocab = Vocab.load(f)
         except ValueError as exc:  # empty, not the reserved tokens first, or a token twice
             raise CheckpointError(f"bad vocab file: {exc}") from exc
-    if params.config.vocab_size != len(vocab):
-        raise CheckpointError(
-            f"checkpoint vocab_size {params.config.vocab_size} != vocab size {len(vocab)}")
     return params, vocab
 
 

@@ -84,6 +84,10 @@ def _require_str(obj: dict, key: str, where: str) -> str:
     value = obj.get(key)
     if not isinstance(value, str):
         raise CorpusError(f"{where}: field {key!r} missing or not a string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate, such as the JSON escape "\ud800"
+        raise CorpusError(f"{where}: field {key!r} is not valid Unicode") from exc
     return value
 
 

@@ -12,15 +12,16 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import IO
 
 import numpy as np
 
-from .corpus import FILTER_MODES, Dataset, filter_evaluable
+from .corpus import FILTER_MODES, CorpusError, Dataset, filter_evaluable
 from .metrics import evaluate
-from .model import ModelConfig, ModelParams, backward, forward, init_params, num_params
+from .model import CheckpointError, ModelConfig, ModelParams, backward, forward, init_params, num_params
 from .objective import LossConfig, batch_loss
 from .rng import _mix64
 from .sampling import SamplingConfig, generate_triples, shuffle_triples
@@ -40,10 +41,6 @@ class NumericalAbort(RuntimeError):
     def __init__(self, step: int):
         super().__init__(f"training diverged at step {step}: |logit| > 709 or a non-finite parameter")
         self.step = step
-
-
-class CheckpointError(ValueError):
-    """Bad magic, version or config header, or truncated or overlong checkpoint data."""
 
 
 @dataclass(frozen=True)
@@ -68,8 +65,8 @@ class TrainConfig:
         if any(type(v) is bool for v in (self.learning_rate, self.adam_beta1,
                                          self.adam_beta2, self.adam_epsilon)):
             raise ValueError("learning_rate and the adam settings must be numbers, not booleans")
-        # every comparison with NaN is false, so NaN fails both checks
-        if not (0 < self.learning_rate < math.inf and 0 < self.adam_epsilon < math.inf):
+        # NaN fails (every comparison with it is false), as does an int too large for a float
+        if not all(0 < v <= sys.float_info.max for v in (self.learning_rate, self.adam_epsilon)):
             raise ValueError("learning_rate and adam_epsilon must be finite and > 0")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ValueError("adam_beta1 and adam_beta2 must be in [0, 1)")
@@ -181,15 +178,15 @@ def build_training_vocab(train_set: Dataset) -> Vocab:
 def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset | None = None,
           vocab: Vocab | None = None) -> tuple[ModelParams, Vocab, TrainHistory]:
     """Run the full pairwise training loop; returns (params, vocab, history)."""
+    triples = generate_triples(train_set, config.sampling)  # bad inputs fail before any work
+    if not triples:
+        raise CorpusError("no training triples (every question lacks a positive or a negative)")
+    if dev_set is not None:
+        dev_set = filter_evaluable(dev_set, config.filter_mode)
     if vocab is None:
         vocab = build_training_vocab(train_set)
     model_cfg = replace(config.model, vocab_size=len(vocab))
     params = init_params(model_cfg)
-    triples = generate_triples(train_set, config.sampling)
-    if not triples:
-        raise ValueError("no training triples (every question lacks a positive or a negative)")
-    if dev_set is not None:
-        filter_evaluable(dev_set, config.filter_mode)  # nothing to evaluate fails before step 1
 
     # encode each (question, candidate) pair that a triple uses, once
     used = {(t.question_id, a) for t in triples for a in (t.positive_id, t.negative_id)}

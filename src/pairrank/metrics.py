@@ -15,7 +15,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .corpus import Dataset, Question, filter_evaluable
-from .model import ModelParams, forward
+from .model import CheckpointError, ModelParams, forward
 from .textenc import Vocab, encode_pair
 
 BATCH_SIZE = 64  # pairs per eval-mode forward
@@ -118,7 +118,7 @@ def compute_report(questions: Sequence[Question],
 def rank_dataset(params: ModelParams, vocab: Vocab, dataset: Dataset) -> list[RankedList]:
     """Score every candidate of every question (eval mode) and rank them."""
     if params.config.vocab_size != len(vocab):
-        raise ValueError(
+        raise CheckpointError(
             f"checkpoint vocab_size {params.config.vocab_size} != vocab size {len(vocab)}")
     pairs = [encode_pair(vocab, q.text, c.text, max_len=params.config.max_len)
              for q in dataset.questions for c in q.candidates]

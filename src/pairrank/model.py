@@ -44,6 +44,10 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
+class CheckpointError(ValueError):
+    """A bad checkpoint header or data, or a vocabulary of another size than vocab_size."""
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
@@ -199,9 +203,9 @@ def _embedding_grad(ids: np.ndarray, dx: np.ndarray, rows: int) -> np.ndarray:
 
 def _dropout(rng: DeterministicRng | None, x: np.ndarray, rate: float):
     """(x * mask, mask) with a scaled keep mask from the next ``x.size`` draws
-    of ``rng``, or (x, None) when ``rng`` is None (no dropout)."""
+    of ``rng``, or (x, 1.0) when ``rng`` is None (no dropout; backward multiplies by 1.0)."""
     if rng is None:
-        return x, None
+        return x, 1.0
     mask = (rng.uniform(x.size).reshape(x.shape) >= rate) / (1.0 - rate)
     return x * mask, mask
 
@@ -327,8 +331,7 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
         gr("ffn.w2")[...] = _weight_grad(c["h_used"], dr2)   # FFN branch
         gr("ffn.b2")[...] = dr2.sum(axis=(0, 1))
         dh_used = dr2 @ p("ffn.w2").T
-        dh_act = dh_used * c["ffn_mask_drop"] if c["ffn_mask_drop"] is not None else dh_used
-        d_pre = dh_act * c["gelu_deriv"]
+        d_pre = dh_used * c["ffn_mask_drop"] * c["gelu_deriv"]
         gr("ffn.w1")[...] = _weight_grad(c["y1"], d_pre)
         gr("ffn.b1")[...] = d_pre.sum(axis=(0, 1))
         dy1 = dr2 + d_pre @ p("ffn.w1").T   # residual branch + FFN input
@@ -353,8 +356,7 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
         else:
             d_attn_used = dctx @ c["v"].transpose(0, 1, 3, 2)
             dv = c["attn_used"].transpose(0, 1, 3, 2) @ dctx
-        d_attn = (d_attn_used * c["attn_mask_drop"]
-                  if c["attn_mask_drop"] is not None else d_attn_used)
+        d_attn = d_attn_used * c["attn_mask_drop"]
         attn = c["attn"]
         d_logits = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
         if last:

@@ -9,7 +9,7 @@ clamped to [epsilon, 1 - epsilon] before the logs so the loss is total.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +23,8 @@ class LossConfig:
     epsilon: float = 1e-7
 
     def __post_init__(self):
-        if not all(type(v) is not bool and -math.inf < v < math.inf  # NaN fails too
+        # NaN fails, as does an int too large for a float (it compares below inf)
+        if not all(type(v) is not bool and abs(v) <= sys.float_info.max
                    for v in (self.lambda1, self.lambda2, self.margin, self.epsilon)):
             raise ValueError("loss weights, margin and epsilon must be finite numbers")
         if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda1 + self.lambda2 <= 0:

@@ -245,7 +245,7 @@ def test_checkpoint_independent_of_blas_threads(workspace, model_overrides):
     for threads in ("1", "2"):
         out_dir = workspace / f"threads{threads}"
         env = dict(os.environ, PYTHONPATH=str(Path(pairrank.__file__).parents[1]),
-                   OPENBLAS_NUM_THREADS=threads)
+                   OPENBLAS_NUM_THREADS=threads, PYTHONWARNINGS="error")
         proc = subprocess.run([sys.executable, "-m", "pairrank", "train",
                                "--train", str(workspace / "train.jsonl"),
                                "--config", str(workspace / "config.json"),
@@ -284,6 +284,13 @@ def eval_with_vocab(ws: Path, text: str) -> list[str]:
             "--data", str(ws / "dev.jsonl")]
 
 
+def rank_with_vocab(ws: Path, text: str) -> list[str]:
+    (ws / "bad_vocab.txt").write_text(text)
+    (ws / "answers.txt").write_text("word1 word2\nword3\n")
+    return ["rank", "--checkpoint", str(ws / "init.ckpt"), "--vocab", str(ws / "bad_vocab.txt"),
+            "--question", "question word1", "--answers", str(ws / "answers.txt")]
+
+
 def vocab_with_duplicate(ws: Path) -> list[str]:
     """The fixture vocabulary with its sixth token replaced by the fifth (same size)."""
     tokens = (ws / "init_vocab.txt").read_text().splitlines()
@@ -299,11 +306,22 @@ def eval_of_data(ws: Path, text: str) -> list[str]:
 
 UNANSWERABLE = json.dumps({"question_id": "q1", "question_text": "who wrote it", "candidates": [
     {"answer_id": "a1", "text": "nobody", "label": False}]}) + "\n"  # no correct answer
+NO_WRONG_ANSWER = json.dumps({"question_id": "q1", "question_text": "who wrote it", "candidates": [
+    {"answer_id": "a1", "text": "shakespeare", "label": True}]}) + "\n"  # so no triple
+# json.dumps writes the lone surrogate as the escape \ud800, which json.loads accepts
+LONE_SURROGATE = json.dumps({"question_id": "q1", "question_text": "who wrote it", "candidates": [
+    {"answer_id": "a1", "text": "shakespeare \ud800", "label": True}]})
 
 
 def train_with_dev(ws: Path, text: str) -> list[str]:
     (ws / "odd_dev.jsonl").write_text(text)
     return train_with_config(ws, TRAIN_CONFIG, "--dev", str(ws / "odd_dev.jsonl"))
+
+
+def train_on(ws: Path, text: str) -> list[str]:
+    (ws / "odd_train.jsonl").write_text(text)
+    return ["train", "--train", str(ws / "odd_train.jsonl"), "--config", str(ws / "config.json"),
+            "--out-dir", str(ws / "bad_run")]
 
 
 def train_into_file(ws: Path) -> list[str]:
@@ -342,6 +360,11 @@ MALFORMED = {
     # a bool is not a number, though Python counts True as 1
     "config-bool-learning-rate": (lambda ws: train_with_config(
         ws, {**TRAIN_CONFIG, "learning_rate": True}), 1),
+    # a 401-digit integer compares below inf but does not convert to a float
+    "config-huge-int-learning-rate": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "learning_rate": 10**400}), 1),
+    "config-huge-int-lambda1": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "loss": {**TRAIN_CONFIG["loss"], "lambda1": 10**400}}), 1),
     # sizes and counts must be ints: 8.0 and 16.0 are not, though integral
     "config-float-batch-size": (lambda ws: train_with_config(
         ws, {**TRAIN_CONFIG, "batch_size": 8.0}), 1),
@@ -376,13 +399,17 @@ MALFORMED = {
     "vocab-missing-reserved": (lambda ws: eval_with_vocab(ws, "[PAD]\n[UNK]\nword\n[SEP]\n"), 2),
     "vocab-empty": (lambda ws: eval_with_vocab(ws, ""), 2),
     "vocab-duplicate-token": (vocab_with_duplicate, 2),
+    "rank-vocab-size-mismatch": (lambda ws: rank_with_vocab(
+        ws, "[PAD]\n[UNK]\n[CLS]\n[SEP]\nextra\n"), 2),
     # nothing left to evaluate after filtering is bad data, found before training starts
     "eval-empty-data": (lambda ws: eval_of_data(ws, ""), 2),
     "eval-unevaluable-data": (lambda ws: eval_of_data(ws, UNANSWERABLE), 2),
     "train-unevaluable-dev": (lambda ws: train_with_dev(ws, UNANSWERABLE), 2),
+    "train-no-trainable-question": (lambda ws: train_on(ws, NO_WRONG_ANSWER), 2),
     "corpus-not-utf8": (stats_non_utf8, 2),
     "corpus-huge-integer": (lambda ws: stats_of_line(ws, '{"question_id": ' + "1" * 4301 + "}"), 2),
     "corpus-deep-nesting": (lambda ws: stats_of_line(ws, "[" * 100_000), 2),
+    "corpus-lone-surrogate": (lambda ws: stats_of_line(ws, LONE_SURROGATE), 2),
     # paths that cannot be opened or created are data errors
     "corpus-is-directory": (lambda ws: ["stats", "--in", str(ws)], 2),
     "checkpoint-is-directory": (lambda ws: [
@@ -395,7 +422,8 @@ MALFORMED = {
 @pytest.mark.parametrize("case", list(MALFORMED))
 def test_malformed_input_exit_code(case, model_files, workspace):
     build_argv, expected = MALFORMED[case]
-    env = dict(os.environ, PYTHONPATH=str(Path(pairrank.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(pairrank.__file__).parents[1]),
+               PYTHONWARNINGS="error")  # as pytest's filterwarnings, which a child does not inherit
     proc = subprocess.run([sys.executable, "-m", "pairrank", *build_argv(workspace)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == expected, proc.stderr

@@ -238,8 +238,13 @@ CORPUS_TEXTS = st.lists(QUESTION_OBJS | JSON_VALUES, max_size=4).map(
 @given(CORPUS_TEXTS)
 @example('{"question_id": ' + "1" * 4301 + "}")  # past int's 4,300-digit limit
 @example("[" * 100_000)  # deeper than the recursion limit
+@example(json.dumps({**json.loads(ONE_LINE), "question_text": "who \ud800"}))  # a lone surrogate
 def test_parse_canonical_fuzz(text):
     try:
-        assert isinstance(parse_canonical(io.StringIO(text)), Dataset)
+        dataset = parse_canonical(io.StringIO(text))
     except CorpusError:
-        pass
+        return
+    assert isinstance(dataset, Dataset)
+    out = io.StringIO()
+    write_canonical(dataset, out)
+    out.getvalue().encode("utf-8")  # what parses also writes back to a UTF-8 file

@@ -45,7 +45,7 @@ def test_config_validation():
                 dict(adam_beta2=math.nan), dict(adam_epsilon=0.0),
                 dict(adam_epsilon=math.inf), dict(adam_epsilon=math.nan),
                 dict(learning_rate=True), dict(adam_beta1=False), dict(adam_beta2=False),
-                dict(adam_epsilon=True)):
+                dict(adam_epsilon=True), dict(learning_rate=10**400), dict(adam_epsilon=10**400)):
         with pytest.raises(ValueError):
             tiny_train_config(**bad)
 
@@ -254,9 +254,13 @@ def test_train_rejects_unevaluable_dev_set_before_any_step(monkeypatch):
         train(tiny_train_config(filter_mode="require_both"), train_set, dev_set)
 
 
-def test_train_rejects_tripleless_dataset():
-    ds = make_separable_corpus(2, num_neg=0, seed=0)
-    with pytest.raises(ValueError, match="triple"):
+def test_train_rejects_tripleless_dataset(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the train set was checked")
+    monkeypatch.setattr(harness, "build_training_vocab", must_not_run)
+    monkeypatch.setattr(harness, "init_params", must_not_run)
+    ds = make_separable_corpus(2, num_neg=0, seed=0)  # no negatives, so no triples
+    with pytest.raises(CorpusError, match="no training triples"):
         train(tiny_train_config(), ds)
 
 

@@ -19,8 +19,8 @@ from pairrank.metrics import (
     reciprocal_rank,
     write_trec_run,
 )
-from pairrank.model import ModelConfig, forward, init_params
-from pairrank.textenc import build_vocab, encode_pair
+from pairrank.model import CheckpointError, ModelConfig, forward, init_params
+from pairrank.textenc import Vocab, build_vocab, encode_pair
 
 from conftest import FILLERS, make_random_dataset
 
@@ -300,3 +300,10 @@ def test_sorted_batches_forward_each_pair_once_in_length_order(dataset, monkeypa
     assert sorted(map(key, forwarded)) == sorted(map(key, expected))
     lengths = [int(p.attention_mask.sum()) for p in forwarded]
     assert lengths == sorted(lengths)
+
+
+def test_rank_dataset_rejects_vocab_of_another_size():
+    params, vocab = scoring_model()
+    other = Vocab(vocab.tokens + ("extra",))
+    with pytest.raises(CheckpointError, match="!= vocab size"):
+        rank_dataset(params, other, one_question_dataset(3))

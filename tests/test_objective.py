@@ -110,7 +110,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LossConfig(epsilon=1e-2)
     for bad in (dict(lambda1=math.nan), dict(lambda2=math.inf), dict(lambda1=-math.inf),
-                dict(lambda1=True), dict(lambda2=False), dict(margin=math.nan)):
+                dict(lambda1=True), dict(lambda2=False), dict(margin=math.nan),
+                dict(lambda1=10**400), dict(lambda2=-10**400)):
         with pytest.raises(ValueError):
             LossConfig(**bad)
 
