@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pairrank
@@ -47,6 +48,59 @@ def workspace(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(TRAIN_CONFIG))
     return tmp_path
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# Another CPU's BLAS kernels may round float64 sums differently, which after
+# six Adam steps moves a float32 checkpoint parameter by an ulp or two (under
+# 1e-7 here) and a loss in its last digits. A changed dropout mask, triple
+# order or initialization moves parameters by about 1e-3, so these bounds
+# still catch any change in what the program computes.
+PARAM_ATOL = 1e-6
+LOSS_RTOL = 1e-9
+
+
+def assert_golden(name: str, outputs: dict[str, bytes]) -> None:
+    """Compare a run's output files with those recorded in ``golden/<name>/``.
+
+    Text printed at fixed precision compares exactly; checkpoint parameters
+    and history losses within the bounds above. ``epoch_seconds`` is wall
+    time, so only its length compares. A missing directory is recorded and
+    the test fails: delete one to re-record it on purpose.
+    """
+    golden = GOLDEN / name
+    if not golden.exists():
+        golden.mkdir(parents=True)
+        for file, data in outputs.items():
+            (golden / file).write_bytes(data)
+        pytest.fail(f"recorded {golden}; check and commit it")
+    assert sorted(outputs) == sorted(p.name for p in golden.iterdir())
+    for file, got in outputs.items():
+        want = (golden / file).read_bytes()
+        if file == "model.ckpt":  # magic, version, header length, JSON header, float32 params
+            start = len(CHECKPOINT_MAGIC) + 8
+            end = start + struct.unpack("<II", want[len(CHECKPOINT_MAGIC):start])[1]
+            assert got[:end] == want[:end]
+            np.testing.assert_allclose(np.frombuffer(got[end:], "<f4"),
+                                       np.frombuffer(want[end:], "<f4"), rtol=0, atol=PARAM_ATOL)
+        elif file == "history.json":
+            got, want = json.loads(got), json.loads(want)
+            assert [s for s, _ in got["steps"]] == [s for s, _ in want["steps"]]
+            np.testing.assert_allclose([loss for _, loss in got["steps"]],
+                                       [loss for _, loss in want["steps"]], rtol=LOSS_RTOL)
+            assert got["evals"] == want["evals"]
+            assert len(got["epoch_seconds"]) == len(want["epoch_seconds"])
+            assert sorted(got) == sorted(want)
+        else:
+            assert got == want, f"{name}/{file} differs from the recorded output"
+
+
+def run_outputs(out_dir: Path, stdout: str) -> dict[str, bytes]:
+    """Every file ``train`` wrote, after checking what it printed against them."""
+    history = json.loads((out_dir / "history.json").read_text())
+    assert json.loads(stdout) == {"out_dir": str(out_dir), "steps": len(history["steps"]),
+                                  "final_loss": history["steps"][-1][1]}
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
 
 
 def run_training(workspace, out_name="run"):
@@ -95,7 +149,7 @@ def test_train_eval_rank_end_to_end(workspace, capsys):
     saved = json.loads((out_dir / "config.json").read_text())
     with open(out_dir / "model.ckpt", "rb") as f:
         assert saved["model"] == load_checkpoint(f).config.to_dict()  # vocab_size resolved
-    capsys.readouterr()
+    outputs = run_outputs(out_dir, capsys.readouterr().out)
 
     run_file = workspace / "run.trec"
     code = main(["eval", "--checkpoint", str(out_dir / "model.ckpt"),
@@ -104,7 +158,8 @@ def test_train_eval_rank_end_to_end(workspace, capsys):
                  "--filter", "require_positive",
                  "--run-file", str(run_file)])
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    outputs["eval.json"] = capsys.readouterr().out.encode()
+    report = json.loads(outputs["eval.json"])
     assert 0.0 <= report["mrr"] <= 1.0
     assert report["filter_mode"] == "require_positive"
     lines = run_file.read_text().splitlines()
@@ -117,9 +172,12 @@ def test_train_eval_rank_end_to_end(workspace, capsys):
                  "--question", "question word1 word2",
                  "--answers", str(answers)])
     assert code == 0
-    out_lines = capsys.readouterr().out.splitlines()
+    outputs["rank.txt"] = capsys.readouterr().out.encode()
+    out_lines = outputs["rank.txt"].decode().splitlines()
     assert len(out_lines) == 2
     assert out_lines[0].startswith("1\t")
+    outputs["run.trec"] = run_file.read_bytes()
+    assert_golden("train_eval_rank", outputs)
 
 
 def test_train_epochs_flag_overrides(workspace):
@@ -254,6 +312,8 @@ def test_checkpoint_independent_of_blas_threads(workspace, model_overrides):
         assert proc.returncode == 0, proc.stderr
         checkpoints.append((out_dir / "model.ckpt").read_bytes())
     assert checkpoints[0] == checkpoints[1]
+    assert_golden("_".join(["train", *(f"{k}_{v}" for k, v in model_overrides.items())]),
+                  run_outputs(out_dir, proc.stdout))
 
 
 def train_with_config(ws: Path, config: dict | list, *flags: str) -> list[str]:
