@@ -5,16 +5,15 @@ The on-disk format is line-delimited JSON, one question per line:
     {"question_id": "...", "question_text": "...",
      "candidates": [{"answer_id": "...", "text": "...", "label": true}, ...]}
 
-Unknown JSON fields are kept in an ``extra`` dict (warned about once per
-field name) and written back on serialization, so metadata survives a
-round trip.
+Unknown JSON fields are warned about once per field name and dropped: no
+command reads them, so a parsed corpus holds only the fields above.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable
 
 log = logging.getLogger(__name__)
@@ -37,7 +36,6 @@ class CandidateAnswer:
     answer_id: str
     text: str
     label: bool
-    extra: tuple = ()  # unknown JSON fields, as sorted (key, json-str) pairs
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,6 @@ class Question:
     question_id: str
     text: str
     candidates: tuple[CandidateAnswer, ...]
-    extra: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -69,15 +66,11 @@ class DatasetStats:
     num_train_pairs: int
 
 
-def _freeze_extra(obj: dict, known: set[str], where: str, warned: set[str]) -> tuple:
-    extra = []
-    for key in obj:
-        if key not in known:
-            if key not in warned:
-                warned.add(key)
-                log.warning("ignoring unknown field %r (%s)", key, where)
-            extra.append((key, json.dumps(obj[key], sort_keys=True)))
-    return tuple(sorted(extra))
+def _warn_unknown(obj: dict, known: set[str], where: str, warned: set[str]) -> None:
+    for key in obj:  # in line order, not a set's
+        if key not in known and key not in warned:
+            warned.add(key)
+            log.warning("ignoring unknown field %r (%s)", key, where)
 
 
 def _require_str(obj: dict, key: str, where: str) -> str:
@@ -140,22 +133,11 @@ def parse_canonical(stream: IO[str], name: str = "dataset", split: str = "train"
             label = cobj.get("label")
             if not isinstance(label, bool):
                 raise CorpusError(f"{where}: question {qid}: answer {aid}: label must be boolean")
-            cands.append(CandidateAnswer(
-                answer_id=aid, text=text, label=label,
-                extra=_freeze_extra(cobj, _CANDIDATE_KEYS, f"{where} answer {aid}", warned),
-            ))
-        questions.append(Question(
-            question_id=qid, text=qtext, candidates=tuple(cands),
-            extra=_freeze_extra(obj, _QUESTION_KEYS, where, warned),
-        ))
+            _warn_unknown(cobj, _CANDIDATE_KEYS, f"{where} answer {aid}", warned)
+            cands.append(CandidateAnswer(answer_id=aid, text=text, label=label))
+        _warn_unknown(obj, _QUESTION_KEYS, where, warned)
+        questions.append(Question(question_id=qid, text=qtext, candidates=tuple(cands)))
     return Dataset(name=name, split=split, questions=tuple(questions))
-
-
-def _candidate_obj(c: CandidateAnswer) -> dict:
-    obj = {"answer_id": c.answer_id, "text": c.text, "label": c.label}
-    for key, raw in c.extra:
-        obj.setdefault(key, json.loads(raw))
-    return obj
 
 
 def write_canonical(dataset: Dataset, stream: IO[str]) -> None:
@@ -164,10 +146,9 @@ def write_canonical(dataset: Dataset, stream: IO[str]) -> None:
         obj = {
             "question_id": q.question_id,
             "question_text": q.text,
-            "candidates": [_candidate_obj(c) for c in q.candidates],
+            "candidates": [{"answer_id": c.answer_id, "text": c.text, "label": c.label}
+                           for c in q.candidates],
         }
-        for key, raw in q.extra:
-            obj.setdefault(key, json.loads(raw))
         stream.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
