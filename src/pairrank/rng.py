@@ -14,22 +14,30 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_MIX_MUL1 = 0xBF58476D1CE4E5B9
+_MIX_MUL2 = 0x94D049BB133111EB
 _NORMAL_CUTOFF = 2.0
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer of a fresh uint64 array, in place and wrapping; returns it."""
     z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z *= np.uint64(_MIX_MUL1)
     z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
+    z *= np.uint64(_MIX_MUL2)
     z ^= z >> np.uint64(31)
     return z
 
 
 def _mix64(z: int) -> int:
-    """``_mix64_array`` on one Python int, taken modulo 2**64 first."""
-    return int(_mix64_array(np.array(z & _MASK64, dtype=np.uint64)))
+    """``_mix64_array`` on one Python int, taken modulo 2**64 first.
+
+    Python ints, as numpy's per-call overhead is about 20 times the work.
+    """
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * _MIX_MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_MUL2) & _MASK64
+    return z ^ (z >> 31)
 
 
 class DeterministicRng:
@@ -45,10 +53,15 @@ class DeterministicRng:
 
     def uniform(self, n: int) -> np.ndarray:
         """The next ``n`` outputs as doubles uniform on [0, 1), using the top 53 bits."""
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        z = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        z = _mix64_array(np.uint64(self._key) + idx * np.uint64(_GOLDEN_GAMMA))
-        return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        z *= np.uint64(_GOLDEN_GAMMA)  # in place throughout: a dropout mask is millions of draws
+        z += np.uint64(self._key)
+        z = _mix64_array(z)
+        z >>= np.uint64(11)
+        u = z.astype(np.float64)
+        u *= 2.0 ** -53
+        return u
 
     def truncated_normal(self, n: int) -> np.ndarray:
         """``n`` standard-normal draws rejected outside +/- 2 (``_NORMAL_CUTOFF``)."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pairrank.corpus import CandidateAnswer, Dataset, Question, compute_stats
-from pairrank.rng import DeterministicRng
+from pairrank.rng import DeterministicRng, _mix64, _mix64_array
 from pairrank.sampling import SamplingConfig, generate_triples, shuffle_triples
 
 from conftest import make_random_dataset
@@ -122,6 +122,14 @@ def test_bulk_draw_helpers_match_one_draw_per_element():
 def test_uniform_golden_values(seed, stream, expected):
     # recorded from the generator as specified; a change here changes every stream
     assert DeterministicRng(seed, stream).uniform(4).tolist() == expected
+
+
+def test_mix64_matches_array_version():
+    values = np.random.default_rng(0).integers(0, 2 ** 64, size=10_000, dtype=np.uint64)
+    assert [_mix64(int(v)) for v in values] == _mix64_array(values.copy()).tolist()
+    # the scalar version reduces modulo 2**64 first
+    for v in (0, 2 ** 64 - 1, -1, 2 ** 70 + 5):
+        assert _mix64(v) == int(_mix64_array(np.array([v % 2 ** 64], dtype=np.uint64))[0])
 
 
 def test_invalid_config():
