@@ -57,11 +57,9 @@ class DeterministicRng:
         self._counter += n
         z *= np.uint64(_GOLDEN_GAMMA)  # in place throughout: a dropout mask is millions of draws
         z += np.uint64(self._key)
-        z = _mix64_array(z)
+        _mix64_array(z)
         z >>= np.uint64(11)
-        u = z.astype(np.float64)
-        u *= 2.0 ** -53
-        return u
+        return z * 2.0 ** -53  # one float64 array: the cast happens inside the multiply
 
     def truncated_normal(self, n: int) -> np.ndarray:
         """``n`` standard-normal draws rejected outside +/- 2 (``_NORMAL_CUTOFF``)."""
