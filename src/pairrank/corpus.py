@@ -84,11 +84,22 @@ def _require_str(obj: dict, key: str, where: str) -> str:
     return value
 
 
+def _require_id(obj: dict, key: str, where: str) -> str:
+    """A non-empty string without whitespace, so that it stays one TREC run-file column."""
+    value = _require_str(obj, key, where)
+    if not value:
+        raise CorpusError(f"{where}: empty {key}")
+    if any(ch.isspace() for ch in value):
+        raise CorpusError(f"{where}: field {key!r} contains whitespace")
+    return value
+
+
 def parse_canonical(stream: IO[str], name: str = "dataset", split: str = "train") -> Dataset:
     """Parse canonical JSONL into a Dataset, preserving input order.
 
     Errors carry the 1-based line number. Duplicate question ids, duplicate
-    answer ids within a question, and empty texts are rejected.
+    answer ids within a question, ids that are empty or hold whitespace, and
+    empty texts are rejected.
     """
     questions: list[Question] = []
     seen_qids: set[str] = set()
@@ -104,10 +115,8 @@ def parse_canonical(stream: IO[str], name: str = "dataset", split: str = "train"
         if not isinstance(obj, dict):
             raise CorpusError(f"line {lineno}: expected a JSON object")
         where = f"line {lineno}"
-        qid = _require_str(obj, "question_id", where)
+        qid = _require_id(obj, "question_id", where)
         qtext = _require_str(obj, "question_text", where)
-        if not qid:
-            raise CorpusError(f"{where}: empty question_id")
         if not qtext.strip():
             raise CorpusError(f"{where}: question {qid}: empty question_text")
         if qid in seen_qids:
@@ -121,10 +130,8 @@ def parse_canonical(stream: IO[str], name: str = "dataset", split: str = "train"
         for cobj in raw_cands:
             if not isinstance(cobj, dict):
                 raise CorpusError(f"{where}: question {qid}: candidate is not an object")
-            aid = _require_str(cobj, "answer_id", f"{where} question {qid}")
+            aid = _require_id(cobj, "answer_id", f"{where} question {qid}")
             text = _require_str(cobj, "text", f"{where} question {qid}")
-            if not aid:
-                raise CorpusError(f"{where}: question {qid}: empty answer_id")
             if aid in seen_aids:
                 raise CorpusError(f"{where}: question {qid}: duplicate answer_id {aid!r}")
             seen_aids.add(aid)

@@ -20,7 +20,7 @@ from typing import IO
 import numpy as np
 
 from .corpus import FILTER_MODES, CorpusError, Dataset, filter_evaluable
-from .metrics import evaluate
+from .metrics import compute_report, encode_questions, rank_encoded
 from .model import CheckpointError, ModelConfig, ModelParams, backward, forward, init_params, num_params
 from .objective import LossConfig, batch_loss
 from .rng import _mix64
@@ -194,6 +194,8 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset | None = Non
                                                          max_len=model_cfg.max_len)
                for q in train_set.questions for c in q.candidates
                if (q.question_id, c.answer_id) in used}
+    if dev_set is not None:
+        dev_pairs = encode_questions(vocab, dev_set.questions, model_cfg.max_len)
 
     state = OptimizerState()
     history = TrainHistory()
@@ -220,7 +222,8 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset | None = Non
             step += 1
             history.steps.append((step, float(loss)))
             if dev_set is not None and step % eval_every == 0:
-                report = evaluate(params, vocab, dev_set, filter_mode=config.filter_mode)
+                rankings = rank_encoded(params, dev_set.questions, dev_pairs)
+                report = compute_report(dev_set.questions, rankings, config.filter_mode, 0)
                 history.evals.append((step, report.mrr, report.map))
         history.epoch_seconds.append(time.monotonic() - t0)
     return params, vocab, history

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Dataset, Question, filter_evaluable
 from .model import CheckpointError, ModelParams, forward
-from .textenc import Vocab, encode_pair
+from .textenc import EncodedPair, Vocab, encode_pair
 
 BATCH_SIZE = 64  # pairs per eval-mode forward
 
@@ -115,13 +115,16 @@ def compute_report(questions: Sequence[Question],
     )
 
 
-def rank_dataset(params: ModelParams, vocab: Vocab, dataset: Dataset) -> list[RankedList]:
-    """Score every candidate of every question (eval mode) and rank them."""
-    if params.config.vocab_size != len(vocab):
-        raise CheckpointError(
-            f"checkpoint vocab_size {params.config.vocab_size} != vocab size {len(vocab)}")
-    pairs = [encode_pair(vocab, q.text, c.text, max_len=params.config.max_len)
-             for q in dataset.questions for c in q.candidates]
+def encode_questions(vocab: Vocab, questions: Sequence[Question],
+                     max_len: int) -> list[EncodedPair]:
+    """Encode every candidate of every question, in input order."""
+    return [encode_pair(vocab, q.text, c.text, max_len=max_len)
+            for q in questions for c in q.candidates]
+
+
+def rank_encoded(params: ModelParams, questions: Sequence[Question],
+                 pairs: Sequence[EncodedPair]) -> list[RankedList]:
+    """Score pairs from ``encode_questions(..., questions, ...)`` (eval mode) and rank them."""
     # forward in order of packed length, so each batch trims to little padding;
     # the sort is stable, so pairs of equal length keep their input order
     order = sorted(range(len(pairs)), key=lambda i: np.count_nonzero(pairs[i].token_ids))
@@ -133,11 +136,20 @@ def rank_dataset(params: ModelParams, vocab: Vocab, dataset: Dataset) -> list[Ra
             scores[i] = float(s)
     rankings = []
     offset = 0
-    for q in dataset.questions:
+    for q in questions:
         n = len(q.candidates)
         rankings.append(rank_candidates(q, scores[offset:offset + n]))
         offset += n
     return rankings
+
+
+def rank_dataset(params: ModelParams, vocab: Vocab, dataset: Dataset) -> list[RankedList]:
+    """Score every candidate of every question (eval mode) and rank them."""
+    if params.config.vocab_size != len(vocab):
+        raise CheckpointError(
+            f"checkpoint vocab_size {params.config.vocab_size} != vocab size {len(vocab)}")
+    pairs = encode_questions(vocab, dataset.questions, params.config.max_len)
+    return rank_encoded(params, dataset.questions, pairs)
 
 
 def evaluate(params: ModelParams, vocab: Vocab, dataset: Dataset,

@@ -372,6 +372,13 @@ NO_WRONG_ANSWER = json.dumps({"question_id": "q1", "question_text": "who wrote i
 LONE_SURROGATE = json.dumps({"question_id": "q1", "question_text": "who wrote it", "candidates": [
     {"answer_id": "a1", "text": "shakespeare \ud800", "label": True}]})
 
+# an id is one column of a TREC run file: a space splits it, a newline starts a forged line
+SPACE_IN_QUESTION_ID = json.dumps({"question_id": "q 1", "question_text": "who wrote it", "candidates": [
+    {"answer_id": "a1", "text": "shakespeare", "label": True}]}) + "\n"
+NEWLINE_IN_ANSWER_ID = json.dumps({"question_id": "q1", "question_text": "who wrote it", "candidates": [
+    {"answer_id": "a1", "text": "shakespeare", "label": True},
+    {"answer_id": "a2\nq9 Q0 x 1 9.0 pairrank", "text": "nobody", "label": False}]}) + "\n"
+
 
 def train_with_dev(ws: Path, text: str) -> list[str]:
     (ws / "odd_dev.jsonl").write_text(text)
@@ -470,6 +477,8 @@ MALFORMED = {
     "corpus-huge-integer": (lambda ws: stats_of_line(ws, '{"question_id": ' + "1" * 4301 + "}"), 2),
     "corpus-deep-nesting": (lambda ws: stats_of_line(ws, "[" * 100_000), 2),
     "corpus-lone-surrogate": (lambda ws: stats_of_line(ws, LONE_SURROGATE), 2),
+    "eval-space-in-question-id": (lambda ws: eval_of_data(ws, SPACE_IN_QUESTION_ID), 2),
+    "eval-newline-in-answer-id": (lambda ws: eval_of_data(ws, NEWLINE_IN_ANSWER_ID), 2),
     # paths that cannot be opened or created are data errors
     "corpus-is-directory": (lambda ws: ["stats", "--in", str(ws)], 2),
     "checkpoint-is-directory": (lambda ws: [

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pairrank import harness
-from pairrank.corpus import CorpusError
+from pairrank import harness, metrics
+from pairrank.corpus import CorpusError, filter_evaluable
 from pairrank.harness import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -25,8 +25,9 @@ from pairrank.harness import (
 )
 from pairrank.metrics import evaluate
 from pairrank.model import ModelConfig, ModelParams, init_params, num_params
+from pairrank.sampling import generate_triples
 
-from conftest import JSON_VALUES, make_separable_corpus
+from conftest import JSON_VALUES, make_random_dataset, make_separable_corpus
 
 TINY_MODEL = ModelConfig(vocab_size=4, hidden_size=16, num_layers=1, num_heads=2,
                          ffn_size=32, max_len=16, dropout_rate=0.0, seed=1)
@@ -200,6 +201,36 @@ def test_train_records_dev_evals():
         _, _, history = train(cfg, ds, dev_set=dev)
         assert len(history.steps) == 6
         assert [s for s, _, _ in history.evals] == steps
+    # the last evaluation, at the last step, saw the returned params; random labels keep
+    # MRR below 1, and questions without a correct answer are filtered out
+    noisy_dev = make_random_dataset(12, seed=5, split="dev")
+    cfg = tiny_train_config(num_epochs=2, batch_size=5, eval_every=2)
+    params, vocab, history = train(cfg, ds, dev_set=noisy_dev)
+    report = evaluate(params, vocab, noisy_dev, cfg.filter_mode)
+    assert report.mrr < 1.0 and report.num_questions_skipped > 0
+    assert history.evals[-1] == (6, report.mrr, report.map)
+
+
+def test_train_encodes_each_dev_pair_once(monkeypatch):
+    encoded = []
+
+    def counting(real):
+        def encode(vocab, question, answer, max_len):
+            encoded.append((question, answer))
+            return real(vocab, question, answer, max_len=max_len)
+        return encode
+    # training pairs are encoded in harness, the dev set through metrics.encode_questions
+    monkeypatch.setattr(harness, "encode_pair", counting(harness.encode_pair))
+    monkeypatch.setattr(metrics, "encode_pair", counting(metrics.encode_pair))
+    ds = make_separable_corpus(6, num_neg=2, seed=3)
+    dev = make_separable_corpus(3, num_neg=2, seed=4, split="dev")
+    cfg = tiny_train_config(num_epochs=2, batch_size=5, eval_every=2)
+    _, _, history = train(cfg, ds, dev_set=dev)
+    assert len(history.evals) == 3
+    used = {(t.question_id, a) for t in generate_triples(ds, cfg.sampling)
+            for a in (t.positive_id, t.negative_id)}
+    dev_pairs = sum(len(q.candidates) for q in filter_evaluable(dev, cfg.filter_mode).questions)
+    assert len(encoded) == len(used) + dev_pairs
 
 
 @pytest.mark.parametrize("base_seed,expected", [
