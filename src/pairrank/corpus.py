@@ -11,6 +11,7 @@ command reads them, so a parsed corpus holds only the fields above.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -94,6 +95,41 @@ def _require_id(obj: dict, key: str, where: str) -> str:
     return value
 
 
+def _parse_question(obj: dict, where: str, seen_qids: set[str], warned: set[str],
+                    candidate_where: Iterable[str]) -> Question:
+    """One question object; errors start with ``where``, or for a candidate with
+    its entry in ``candidate_where``."""
+    qid = _require_id(obj, "question_id", where)
+    qtext = _require_str(obj, "question_text", where)
+    if not qtext.strip():
+        raise CorpusError(f"{where}: question {qid}: empty question_text")
+    if qid in seen_qids:
+        raise CorpusError(f"{where}: duplicate question_id {qid!r}")
+    seen_qids.add(qid)
+    raw_cands = obj.get("candidates")
+    if not isinstance(raw_cands, list) or not raw_cands:
+        raise CorpusError(f"{where}: question {qid}: candidates missing or empty")
+    cands: list[CandidateAnswer] = []
+    seen_aids: set[str] = set()
+    for cobj, cwhere in zip(raw_cands, candidate_where):
+        if not isinstance(cobj, dict):
+            raise CorpusError(f"{cwhere}: question {qid}: candidate is not an object")
+        aid = _require_id(cobj, "answer_id", f"{cwhere} question {qid}")
+        text = _require_str(cobj, "text", f"{cwhere} question {qid}")
+        if aid in seen_aids:
+            raise CorpusError(f"{cwhere}: question {qid}: duplicate answer_id {aid!r}")
+        seen_aids.add(aid)
+        if not text.strip():
+            raise CorpusError(f"{cwhere}: question {qid}: answer {aid}: empty text")
+        label = cobj.get("label")
+        if not isinstance(label, bool):
+            raise CorpusError(f"{cwhere}: question {qid}: answer {aid}: label must be boolean")
+        _warn_unknown(cobj, _CANDIDATE_KEYS, f"{cwhere} answer {aid}", warned)
+        cands.append(CandidateAnswer(answer_id=aid, text=text, label=label))
+    _warn_unknown(obj, _QUESTION_KEYS, where, warned)
+    return Question(question_id=qid, text=qtext, candidates=tuple(cands))
+
+
 def parse_canonical(stream: IO[str], name: str = "dataset", split: str = "train") -> Dataset:
     """Parse canonical JSONL into a Dataset, preserving input order.
 
@@ -115,35 +151,7 @@ def parse_canonical(stream: IO[str], name: str = "dataset", split: str = "train"
         if not isinstance(obj, dict):
             raise CorpusError(f"line {lineno}: expected a JSON object")
         where = f"line {lineno}"
-        qid = _require_id(obj, "question_id", where)
-        qtext = _require_str(obj, "question_text", where)
-        if not qtext.strip():
-            raise CorpusError(f"{where}: question {qid}: empty question_text")
-        if qid in seen_qids:
-            raise CorpusError(f"{where}: duplicate question_id {qid!r}")
-        seen_qids.add(qid)
-        raw_cands = obj.get("candidates")
-        if not isinstance(raw_cands, list) or not raw_cands:
-            raise CorpusError(f"{where}: question {qid}: candidates missing or empty")
-        cands: list[CandidateAnswer] = []
-        seen_aids: set[str] = set()
-        for cobj in raw_cands:
-            if not isinstance(cobj, dict):
-                raise CorpusError(f"{where}: question {qid}: candidate is not an object")
-            aid = _require_id(cobj, "answer_id", f"{where} question {qid}")
-            text = _require_str(cobj, "text", f"{where} question {qid}")
-            if aid in seen_aids:
-                raise CorpusError(f"{where}: question {qid}: duplicate answer_id {aid!r}")
-            seen_aids.add(aid)
-            if not text.strip():
-                raise CorpusError(f"{where}: question {qid}: answer {aid}: empty text")
-            label = cobj.get("label")
-            if not isinstance(label, bool):
-                raise CorpusError(f"{where}: question {qid}: answer {aid}: label must be boolean")
-            _warn_unknown(cobj, _CANDIDATE_KEYS, f"{where} answer {aid}", warned)
-            cands.append(CandidateAnswer(answer_id=aid, text=text, label=label))
-        _warn_unknown(obj, _QUESTION_KEYS, where, warned)
-        questions.append(Question(question_id=qid, text=qtext, candidates=tuple(cands)))
+        questions.append(_parse_question(obj, where, seen_qids, warned, itertools.repeat(where)))
     return Dataset(name=name, split=split, questions=tuple(questions))
 
 
@@ -194,10 +202,12 @@ def convert_tsv(rows: Iterable[str], name: str = "dataset", split: str = "train"
     """Convert 4-column TSV (question_id, question_text, answer_text, label).
 
     Rows must be grouped by question_id; answer ids are assigned a0, a1, ...
-    in row order within each question. The questions are validated by
-    ``parse_canonical`` (one JSON line each), so TSV inherits every invariant.
+    in row order within each question. Each question is validated as a
+    canonical JSON object would be, so TSV inherits every invariant. Errors
+    name the 1-based row: a question's first row, or a candidate's own row.
     """
     objs: list[dict] = []
+    wheres: list[list[str]] = []  # per question, "line N" for each candidate's row
     seen: set[str] = set()
     for lineno, line in enumerate(rows, start=1):
         line = line.rstrip("\n")
@@ -214,6 +224,11 @@ def convert_tsv(rows: Iterable[str], name: str = "dataset", split: str = "train"
                 raise CorpusError(f"line {lineno}: rows for question {qid!r} are not contiguous")
             seen.add(qid)
             objs.append({"question_id": qid, "question_text": qtext, "candidates": []})
+            wheres.append([])
         cands = objs[-1]["candidates"]
         cands.append({"answer_id": f"a{len(cands)}", "text": atext, "label": label == "1"})
-    return parse_canonical((json.dumps(o) for o in objs), name=name, split=split)
+        wheres[-1].append(f"line {lineno}")
+    seen_qids: set[str] = set()
+    questions = tuple(_parse_question(obj, where[0], seen_qids, set(), where)
+                      for obj, where in zip(objs, wheres))
+    return Dataset(name=name, split=split, questions=questions)

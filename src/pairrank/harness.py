@@ -120,12 +120,25 @@ def optimizer_step(params: ModelParams, grads: ModelParams,
     if state.m is None:
         state.m = np.zeros_like(params.flat)
         state.v = np.zeros_like(params.flat)
+    # the textbook update, operation for operation, with the moments updated in
+    # place: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, and
+    # params -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
     b1, b2 = config.adam_beta1, config.adam_beta2
-    state.m = b1 * state.m + (1 - b1) * grads.flat
-    state.v = b2 * state.v + (1 - b2) * grads.flat ** 2
-    m_hat = state.m / (1 - b1 ** state.step)
-    v_hat = state.v / (1 - b2 ** state.step)
-    params.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+    m, v, g = state.m, state.v, grads.flat
+    tmp = np.multiply(g, 1 - b1)
+    m *= b1
+    m += tmp
+    np.multiply(g, g, out=tmp)
+    tmp *= 1 - b2
+    v *= b2
+    v += tmp
+    np.divide(v, 1 - b2 ** state.step, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += config.adam_epsilon
+    step = m / (1 - b1 ** state.step)
+    step *= config.learning_rate
+    step /= tmp
+    params.flat -= step
 
 
 def save_checkpoint(params: ModelParams, stream: IO[bytes]) -> None:

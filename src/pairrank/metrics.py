@@ -127,13 +127,18 @@ def rank_encoded(params: ModelParams, questions: Sequence[Question],
     """Score pairs from ``encode_questions(..., questions, ...)`` (eval mode) and rank them."""
     # forward in order of packed length, so each batch trims to little padding;
     # the sort is stable, so pairs of equal length keep their input order
-    order = sorted(range(len(pairs)), key=lambda i: np.count_nonzero(pairs[i].token_ids))
-    scores = [0.0] * len(pairs)
+    lengths = np.count_nonzero([p.token_ids for p in pairs], axis=-1) if pairs else []
+    order = np.argsort(lengths, kind="stable")
+    scores = np.zeros(len(pairs))
     for start in range(0, len(order), BATCH_SIZE):
         batch = order[start:start + BATCH_SIZE]
+        # ``_`` holds this batch's cache until the next forward returns: freed
+        # before it, the cache leaves the heap top free, malloc trims it and the
+        # next forward faults those pages in again (serve's 800 held-out pairs
+        # ranked in 31-33 ms instead of 26)
         batch_scores, _ = forward(params, [pairs[i] for i in batch], train_mode=False)
-        for i, s in zip(batch, batch_scores):
-            scores[i] = float(s)
+        scores[batch] = batch_scores
+    scores = scores.tolist()
     rankings = []
     offset = 0
     for q in questions:

@@ -22,6 +22,12 @@ dropout). No layer reads ``attn.bk``: q . b_k is the same for every key of
 a softmax row, so it gets no gradient and keeps its zero init. Each dropout
 mask is the next draws of the step's stream over the shape a layer
 computes: (B, A, rows, T) for attention and (B, rows, ffn_size) for the FFN.
+
+Backward follows the same rows. The last layer's input gradient is one
+product per pair, dx_t = [a_t, dlogit_t] . [dm; u] over the 2A stacked
+heads, with dm = W_v dctx. The segment-embedding gradient is the one-hot of
+the segments (2, N) times dx (N, H); the token-embedding gradient is one
+``bincount`` per (id, column).
 """
 
 from __future__ import annotations
@@ -236,7 +242,10 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
     rng = (DeterministicRng(dropout_seed, stream=_DROPOUT_STREAM)
            if train_mode and rate > 0.0 else None)
 
-    x = params["tok_emb"][ids] + params["pos_emb"][:T] + params["seg_emb"][segs]
+    # (tok + pos) + seg, summed in place in that order
+    x = params["tok_emb"].take(ids, axis=0)
+    x += params["pos_emb"][:T]
+    x += params["seg_emb"].take(segs, axis=0)
     # additive key mask: 0 on real tokens, -inf on PAD keys
     add_mask = np.where(real[:, None, None, :], 0.0, -np.inf)
 
@@ -361,8 +370,9 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
         d_logits = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
         if last:
             dl = d_logits[:, :, 0]
-            dx_in = c["attn_used"][:, :, 0].transpose(0, 2, 1) @ dm.transpose(1, 0, 2)
-            dx_in += dl.transpose(0, 2, 1) @ c["u"].transpose(1, 0, 2)
+            # dx_t = sum_h a_t dm + dlogit_t u, as one (B, T, 2A) @ (B, 2A, H) product
+            dx_in = (np.concatenate([c["attn_used"][:, :, 0], dl], axis=1).transpose(0, 2, 1)
+                     @ np.concatenate([dm, c["u"]]).transpose(1, 0, 2))
             du = (dl @ c["x_in"]).transpose(1, 0, 2)
             gr("attn.wk")[...] = (du.transpose(0, 2, 1) @ c["q"]).transpose(1, 0, 2).reshape(H, H)
             dq = du @ wk * scale
@@ -388,5 +398,7 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
     ids, segs = cache["ids"], cache["segs"]
     grads.tensors["tok_emb"][...] = _embedding_grad(ids, dx, cfg.vocab_size)
     grads.tensors["pos_emb"][:T] += dx.sum(axis=0)
-    grads.tensors["seg_emb"][...] = _embedding_grad(segs, dx, 2)
+    # segments are 0 or 1: one (2, N) @ (N, H) product over their one-hot
+    one_hot = (segs.reshape(1, -1) == np.arange(2)[:, None]).astype(np.float64)
+    grads.tensors["seg_emb"][...] = one_hot @ dx.reshape(-1, H)
     return grads

@@ -202,6 +202,22 @@ def test_convert_tsv_non_contiguous():
         convert_tsv(["q1\tt\ta\t1", "q2\tt\tb\t1", "q1\tt\tc\t0"])
 
 
+@pytest.mark.parametrize("rows,message", [
+    # a question-level error names the question's first row
+    (["q1\tt\ta\t1", "q1\tt\tb\t0", "q2 x\tt\tc\t1"],
+     "line 3: field 'question_id' contains whitespace"),
+    (["q1\tt\ta\t1", "q1\tt\tb\t0", "q2\t \tc\t1", "q2\tt\td\t0"],
+     "line 3: question q2: empty question_text"),
+    # an answer-level error names the candidate's own row, blank rows counted
+    (["q1\tt\ta\t1", "", "q1\tt\t \t0"], "line 3: question q1: answer a1: empty text"),
+    (["q1\tt\ta\t1", "q1\tt\t\t0"], "line 2: question q1: answer a1: empty text"),
+])
+def test_convert_tsv_errors_name_the_tsv_row(rows, message):
+    with pytest.raises(CorpusError) as exc:
+        convert_tsv(rows)
+    assert str(exc.value) == message
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=0, max_value=25))
 def test_roundtrip_identity_property(seed, n):

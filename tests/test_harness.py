@@ -98,6 +98,29 @@ def test_adam_state_carries_moments():
     assert state.m is not None and state.m[0] > 0
 
 
+def test_adam_matches_textbook_formula_bitwise_in_place():
+    cfg = tiny_train_config(optimizer="adam", learning_rate=0.01)
+    rs = np.random.default_rng(6)
+    params = ModelParams(TINY_MODEL, rs.normal(size=num_params(TINY_MODEL)))
+    p, m, v = params.flat.copy(), 0.0, 0.0
+    b1, b2, lr, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate, cfg.adam_epsilon
+    state = OptimizerState()
+    for t in (1, 2, 3):
+        grads = ModelParams(TINY_MODEL, rs.normal(size=p.size))
+        held = grads.flat.copy()
+        optimizer_step(params, grads, state, cfg)
+        m = b1 * m + (1 - b1) * held
+        v = b2 * v + (1 - b2) * held ** 2
+        p -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+        assert np.array_equal(grads.flat.view(np.int64), held.view(np.int64))  # not squared in place
+        assert np.array_equal(params.flat.view(np.int64), p.view(np.int64))
+        assert np.array_equal(state.m.view(np.int64), m.view(np.int64))
+        assert np.array_equal(state.v.view(np.int64), v.view(np.int64))
+        if t == 1:
+            moments = state.m, state.v
+        assert state.m is moments[0] and state.v is moments[1]  # updated in place
+
+
 def test_checkpoint_roundtrip_bitwise():
     params = init_params(TINY_MODEL)
     buf = io.BytesIO()

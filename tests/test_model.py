@@ -7,6 +7,7 @@ from pairrank.model import (
     _DROPOUT_STREAM,
     _embedding_grad,
     _layer_norm,
+    _layout_spans,
     ModelConfig,
     ModelParams,
     backward,
@@ -207,6 +208,22 @@ def test_gradient_check_one_layer(vocab):
     embeddings = np.random.default_rng(5).choice(np.flatnonzero(kind.flat == 2), 60, replace=False)
     check_gradient_entries(params, pairs, g, [*np.flatnonzero(kind.flat == 1), *embeddings],
                            train_mode=True)
+
+
+def test_gradient_check_two_layers_train_mode(vocab):
+    # dropout on, a full-row first layer under the folded [CLS] layer, and one
+    # pair filling max_len so that the batch is not trimmed
+    cfg = ModelConfig(vocab_size=len(vocab), hidden_size=16, num_layers=2, num_heads=2,
+                      ffn_size=32, max_len=16, dropout_rate=0.2, seed=6)
+    init = init_params(cfg)
+    params = ModelParams(cfg, init.flat + np.random.default_rng(7).normal(0, 0.05, init.flat.size))
+    pairs = [*mixed_length_pairs(vocab),
+             encode_pair(vocab, "who wrote hamlet", "the play " * 20, max_len=cfg.max_len)]
+    g = np.random.default_rng(8).normal(size=len(pairs))
+    rng = np.random.default_rng(9)
+    indices = [j for _, _, start, end in _layout_spans(cfg)  # a few entries of every tensor
+               for j in rng.choice(np.arange(start, end), min(6, end - start), replace=False)]
+    check_gradient_entries(params, pairs, g, indices, train_mode=True)
 
 
 def test_attention_rows_normalized(tiny_setup):
