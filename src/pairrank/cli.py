@@ -79,7 +79,7 @@ def cmd_train(args) -> None:
     with open(out / "config.json", "w", encoding="utf-8") as f:  # with the resolved vocab_size
         json.dump(asdict(replace(config, model=params.config)), f, indent=2, sort_keys=True)
     print(json.dumps({"out_dir": str(out), "steps": len(history.steps),
-                      "final_loss": history.steps[-1][1] if history.steps else None}))
+                      "final_loss": history.steps[-1][1]}))
 
 
 def cmd_eval(args) -> None:

@@ -19,7 +19,6 @@ from typing import IO, Iterable
 
 log = logging.getLogger(__name__)
 
-SPLITS = ("train", "dev", "test")
 # the labels a question must have among its candidates to be evaluated, per filter mode
 _REQUIRED_LABELS = {"keep_all": set(), "require_positive": {True}, "require_both": {True, False}}
 FILTER_MODES = tuple(_REQUIRED_LABELS)
@@ -51,10 +50,6 @@ class Dataset:
     name: str
     split: str
     questions: tuple[Question, ...]
-
-    def __post_init__(self):
-        if self.split not in SPLITS:
-            raise CorpusError(f"unknown split {self.split!r}, expected one of {SPLITS}")
 
 
 @dataclass(frozen=True)
@@ -201,8 +196,8 @@ def filter_evaluable(dataset: Dataset, mode: str) -> Dataset:
 def convert_tsv(rows: Iterable[str], name: str = "dataset", split: str = "train") -> Dataset:
     """Convert 4-column TSV (question_id, question_text, answer_text, label).
 
-    Rows must be grouped by question_id; answer ids are assigned a0, a1, ...
-    in row order within each question. Each question is validated as a
+    Rows must be grouped by question_id and repeat one question_text; answer
+    ids are a0, a1, ... in row order. Each question is validated as a
     canonical JSON object would be, so TSV inherits every invariant. Errors
     name the 1-based row: a question's first row, or a candidate's own row.
     """
@@ -225,6 +220,9 @@ def convert_tsv(rows: Iterable[str], name: str = "dataset", split: str = "train"
             seen.add(qid)
             objs.append({"question_id": qid, "question_text": qtext, "candidates": []})
             wheres.append([])
+        elif objs[-1]["question_text"] != qtext:  # the question's earlier rows report their errors first
+            _parse_question(objs[-1], wheres[-1][0], set(), set(), wheres[-1])
+            raise CorpusError(f"line {lineno}: question {qid}: question_text differs from its first row")
         cands = objs[-1]["candidates"]
         cands.append({"answer_id": f"a{len(cands)}", "text": atext, "label": label == "1"})
         wheres[-1].append(f"line {lineno}")

@@ -154,16 +154,13 @@ def num_params(config: ModelConfig) -> int:
 def init_params(config: ModelConfig) -> ModelParams:
     """Deterministic initialization from config.seed."""
     rng = DeterministicRng(config.seed, stream=_INIT_STREAM)
-    chunks = []
-    for _, shape, kind in param_layout(config):
-        size = math.prod(shape)
+    params = ModelParams(config, np.zeros(num_params(config)))
+    for name, shape, kind in param_layout(config):
         if kind == "normal":
-            chunks.append(rng.truncated_normal(size) * 0.02)
+            params[name][...] = (rng.truncated_normal(math.prod(shape)) * 0.02).reshape(shape)
         elif kind == "ones":
-            chunks.append(np.ones(size))
-        else:
-            chunks.append(np.zeros(size))
-    return ModelParams(config, np.concatenate(chunks))
+            params[name][...] = 1.0
+    return params
 
 
 def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

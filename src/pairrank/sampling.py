@@ -49,8 +49,6 @@ def generate_triples(dataset: Dataset, config: SamplingConfig) -> list[TrainingT
     for q in dataset.questions:
         pos = [c.answer_id for c in q.candidates if c.label]
         neg = [c.answer_id for c in q.candidates if not c.label]
-        if not pos or not neg:
-            continue
         for p in pos:
             if config.strategy == "cross_product":
                 chosen = range(len(neg))

@@ -100,7 +100,7 @@ def segment_ids(token_ids: np.ndarray) -> np.ndarray:
     return (np.cumsum(sep, axis=-1) - sep == 1).astype(np.int64)
 
 
-def encode_pair(vocab: Vocab, question: str, answer: str, max_len: int = 128) -> EncodedPair:
+def encode_pair(vocab: Vocab, question: str, answer: str, max_len: int) -> EncodedPair:
     """Pack a (question, answer) pair as [CLS] q [SEP] a [SEP] PAD...
 
     If the packed sequence exceeds max_len, answer tokens are truncated

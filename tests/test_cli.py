@@ -489,7 +489,18 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
-def test_malformed_input_exit_code(case, model_files, workspace):
+def test_malformed_input_exit_code(case, model_files, workspace, capsys):
+    build_argv, expected = MALFORMED[case]
+    code = main(build_argv(workspace))  # pytest's filterwarnings turns warnings into errors here
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
+# one row per exit code, run as `python -m pairrank` in a child process
+@pytest.mark.parametrize("case", ["config-unknown-key", "corpus-not-utf8", "config-sgd-diverges"])
+def test_malformed_input_exit_code_as_subprocess(case, model_files, workspace):
     build_argv, expected = MALFORMED[case]
     env = dict(os.environ, PYTHONPATH=str(Path(pairrank.__file__).parents[1]),
                PYTHONWARNINGS="error")  # as pytest's filterwarnings, which a child does not inherit

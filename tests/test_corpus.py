@@ -211,6 +211,9 @@ def test_convert_tsv_non_contiguous():
     # an answer-level error names the candidate's own row, blank rows counted
     (["q1\tt\ta\t1", "", "q1\tt\t \t0"], "line 3: question q1: answer a1: empty text"),
     (["q1\tt\ta\t1", "q1\tt\t\t0"], "line 2: question q1: answer a1: empty text"),
+    # rows of one question must agree on its text
+    (["q1\twho wrote hamlet\ta\t1", "q1\twho wrote macbeth\tb\t0"],
+     "line 2: question q1: question_text differs from its first row"),
 ])
 def test_convert_tsv_errors_name_the_tsv_row(rows, message):
     with pytest.raises(CorpusError) as exc:

@@ -298,6 +298,28 @@ def test_train_aborts_on_non_finite_parameter(monkeypatch):
     assert info.value.step == 3  # numbered from 1, as in history.json
 
 
+@pytest.mark.parametrize("logit,aborts", [(710.0, True), (math.nan, True), (709.0, False)])
+def test_train_aborts_when_a_logit_leaves_the_bound(monkeypatch, logit, aborts):
+    real_forward = harness.forward
+    calls = []
+
+    def forward_with_logit(params, batch, train_mode=False, dropout_seed=0):
+        scores, cache = real_forward(params, batch, train_mode=train_mode, dropout_seed=dropout_seed)
+        calls.append(len(batch))
+        if len(calls) == 2:
+            cache["logit"][0] = logit
+        return scores, cache
+    monkeypatch.setattr(harness, "forward", forward_with_logit)
+    ds = make_separable_corpus(6, num_neg=2, seed=3)
+    if aborts:
+        with pytest.raises(NumericalAbort) as info:
+            train(tiny_train_config(num_epochs=2), ds)
+        assert info.value.step == 2
+    else:  # exactly MAX_LOGIT is still inside the bound
+        _, _, history = train(tiny_train_config(num_epochs=2), ds)
+        assert len(history.steps) == len(calls) > 2
+
+
 def test_train_rejects_unevaluable_dev_set_before_any_step(monkeypatch):
     def must_not_forward(*args, **kwargs):
         raise AssertionError("a training step ran before the dev set was checked")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pairrank import sampling
 from pairrank.corpus import CandidateAnswer, Dataset, Question, compute_stats
 from pairrank.rng import DeterministicRng, _mix64, _mix64_array
 from pairrank.sampling import SamplingConfig, generate_triples, shuffle_triples
@@ -74,6 +75,40 @@ def test_degenerate_questions_contribute_nothing():
     q = Question("q1", "t", (CandidateAnswer("a", "x", False),))
     ds = Dataset(name="d", split="train", questions=(q,))
     assert generate_triples(ds, SamplingConfig()) == []
+
+
+def mixed_trainability():
+    """q1 has no positive, q3 and q5 no negative; q2, q4 and q6 are trainable."""
+    def q(qid, labels):
+        return Question(qid, "t", tuple(CandidateAnswer(f"a{i}", "x", l) for i, l in enumerate(labels)))
+    return Dataset(name="d", split="train", questions=(
+        q("q1", [False, False, False]), q("q2", [True, False, False, False]), q("q3", [True, True]),
+        q("q4", [False, True, False, True, False]), q("q5", [True]), q("q6", [False, True, False])))
+
+
+@pytest.mark.parametrize("config,expected,next_draws", [
+    (SamplingConfig(),
+     ["q2 a0 a1", "q2 a0 a2", "q2 a0 a3", "q4 a1 a0", "q4 a1 a2", "q4 a1 a4", "q4 a3 a0",
+      "q4 a3 a2", "q4 a3 a4", "q6 a1 a0", "q6 a1 a2"],
+     [0.3002606470267336, 0.6884792466662293]),
+    (SamplingConfig(strategy="sampled_k", k=2, seed=5),
+     ["q2 a0 a1", "q2 a0 a2", "q4 a1 a0", "q4 a1 a4", "q4 a3 a0", "q4 a3 a4", "q6 a1 a0",
+      "q6 a1 a2"],
+     [0.5075512012743356, 0.5295444112276114]),
+])
+def test_untrainable_questions_golden(monkeypatch, config, expected, next_draws):
+    # recorded when untrainable questions were skipped before sampling: they draw nothing
+    made = []
+
+    class RecordingRng(DeterministicRng):
+        def __init__(self, seed, stream):
+            super().__init__(seed, stream)
+            made.append(self)
+    monkeypatch.setattr(sampling, "DeterministicRng", RecordingRng)
+    triples = generate_triples(mixed_trainability(), config)
+    assert [f"{t.question_id} {t.positive_id} {t.negative_id}" for t in triples] == expected
+    [rng] = made
+    assert rng.uniform(2).tolist() == next_draws
 
 
 def test_shuffle_empty():
