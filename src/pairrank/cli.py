@@ -92,6 +92,8 @@ def cmd_eval(args) -> None:
 
 
 def cmd_rank(args) -> None:
+    if not args.question.strip():
+        raise corpus.CorpusError("--question is empty")
     params, vocab = _load_model(args.checkpoint, args.vocab)
     with open(args.answers, encoding="utf-8") as f:
         answers = [line.strip() for line in f if line.strip()]

@@ -132,10 +132,6 @@ def rank_encoded(params: ModelParams, questions: Sequence[Question],
     scores = np.zeros(len(pairs))
     for start in range(0, len(order), BATCH_SIZE):
         batch = order[start:start + BATCH_SIZE]
-        # ``_`` holds this batch's cache until the next forward returns: freed
-        # before it, the cache leaves the heap top free, malloc trims it and the
-        # next forward faults those pages in again (serve's 800 held-out pairs
-        # ranked in 31-33 ms instead of 26)
         batch_scores, _ = forward(params, [pairs[i] for i in batch], train_mode=False)
         scores[batch] = batch_scores
     scores = scores.tolist()

@@ -28,12 +28,17 @@ product per pair, dx_t = [a_t, dlogit_t] . [dm; u] over the 2A stacked
 heads, with dm = W_v dctx. The segment-embedding gradient is the one-hot of
 the segments (2, N) times dx (N, H); the token-embedding gradient is one
 ``bincount`` per (id, column).
+
+Importing this module tells glibc's malloc to keep freed memory in the
+process (``_keep_freed_heap``), so batches of changing length reuse it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import platform
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,6 +53,25 @@ _DROPOUT_STREAM = 202
 _LN_EPS = 1e-12
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed heap memory in the process where the C library is glibc.
+
+    Batches trim to different lengths, so each step's temporaries change size,
+    and glibc would return the freed pages to the OS for the next step to fault
+    in again, 4 KiB at a time. Trim threshold 1 GiB; mmap threshold 32 MiB, the
+    64-bit maximum in mallopt(3). Cost: the process keeps its high-water mark.
+    """
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:  # its 0 on failure leaves malloc's defaults
+            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+            mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+            mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 class CheckpointError(ValueError):

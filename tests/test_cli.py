@@ -351,6 +351,12 @@ def rank_with_vocab(ws: Path, text: str) -> list[str]:
             "--question", "question word1", "--answers", str(ws / "answers.txt")]
 
 
+def rank_of(ws: Path, question: str, answers: str) -> list[str]:
+    (ws / "odd_answers.txt").write_text(answers)
+    return ["rank", "--checkpoint", str(ws / "init.ckpt"), "--vocab", str(ws / "init_vocab.txt"),
+            "--question", question, "--answers", str(ws / "odd_answers.txt")]
+
+
 def vocab_with_duplicate(ws: Path) -> list[str]:
     """The fixture vocabulary with its sixth token replaced by the fifth (same size)."""
     tokens = (ws / "init_vocab.txt").read_text().splitlines()
@@ -468,6 +474,9 @@ MALFORMED = {
     "vocab-duplicate-token": (vocab_with_duplicate, 2),
     "rank-vocab-size-mismatch": (lambda ws: rank_with_vocab(
         ws, "[PAD]\n[UNK]\n[CLS]\n[SEP]\nextra\n"), 2),
+    # a blank --question is a data error, as a blank question_text in a corpus is
+    "rank-blank-question": (lambda ws: rank_of(ws, "   ", "word1 word2\n"), 2),
+    "rank-empty-answers": (lambda ws: rank_of(ws, "question word1", ""), 2),
     # nothing left to evaluate after filtering is bad data, found before training starts
     "eval-empty-data": (lambda ws: eval_of_data(ws, ""), 2),
     "eval-unevaluable-data": (lambda ws: eval_of_data(ws, UNANSWERABLE), 2),

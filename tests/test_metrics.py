@@ -1,5 +1,6 @@
 import io
 import itertools
+import platform
 import random
 
 import numpy as np
@@ -307,3 +308,28 @@ def test_rank_dataset_rejects_vocab_of_another_size():
     other = Vocab(vocab.tokens + ("extra",))
     with pytest.raises(CheckpointError, match="!= vocab size"):
         rank_dataset(params, other, one_question_dataset(3))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+def test_repeated_ranking_takes_no_page_faults():
+    """Batches of other lengths reuse the freed heap instead of faulting it in."""
+    import resource  # POSIX only, and this test runs on glibc alone
+    rnd = random.Random(11)
+
+    def words(n):
+        return " ".join(rnd.choice(FILLERS) for _ in range(n))
+    questions = tuple(
+        Question(f"q{i}", words(6), tuple(CandidateAnswer(f"a{j}", words(150 if j % 2 else 20),
+                                                          j == 0) for j in range(10)))
+        for i in range(20))
+    vocab = build_vocab(FILLERS)
+    cfg = ModelConfig(vocab_size=len(vocab), hidden_size=32, num_layers=1, num_heads=2,
+                      ffn_size=64, max_len=128)
+    params = init_params(cfg)
+    pairs = metrics.encode_questions(vocab, questions, cfg.max_len)
+    metrics.rank_encoded(params, questions, pairs)  # the heap grows to its high-water mark
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        metrics.rank_encoded(params, questions, pairs)
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5
+    assert faults < 100

@@ -1,8 +1,12 @@
+import ctypes
 import itertools
+import platform
+import types
 
 import numpy as np
 import pytest
 
+from pairrank import model
 from pairrank.model import (
     _DROPOUT_STREAM,
     _embedding_grad,
@@ -443,3 +447,30 @@ def test_eval_score_independent_of_batch_mate_lengths(tiny_setup):
     for mates in (mixed_length_pairs(vocab), [filler, filler]):
         batched, _ = forward(params, [*mates, pair])
         assert abs(batched[-1] - alone[0]) <= 1e-12
+
+
+def test_heap_policy_is_harmless_off_glibc(monkeypatch):
+    model._keep_freed_heap()  # the import made the first call; this one must not raise
+    loads = []
+
+    def record_load(name):
+        loads.append(name)
+        return object()  # a C library without mallopt
+    monkeypatch.setattr(ctypes, "CDLL", record_load)
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("", ""))
+    model._keep_freed_heap()
+    assert loads == []  # another C library: nothing is loaded
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.35"))
+    model._keep_freed_heap()  # glibc without mallopt: returns without raising
+    assert loads == [None]
+
+    settings = {}
+
+    def failing_mallopt(param, value):
+        settings[param] = value
+        return 0  # mallopt's failure value
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=failing_mallopt))
+    model._keep_freed_heap()
+    first = dict(settings)
+    model._keep_freed_heap()  # a second call sets the same values
+    assert settings == first == {-1: 1 << 30, -3: 32 << 20}
