@@ -158,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     except (corpus.CorpusError, CheckpointError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:  # json.JSONDecodeError included
+    except (ValueError, MemoryError) as exc:  # json.JSONDecodeError, or a model too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

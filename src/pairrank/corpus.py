@@ -11,7 +11,6 @@ command reads them, so a parsed corpus holds only the fields above.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -90,10 +89,8 @@ def _require_id(obj: dict, key: str, where: str) -> str:
     return value
 
 
-def _parse_question(obj: dict, where: str, seen_qids: set[str], warned: set[str],
-                    candidate_where: Iterable[str]) -> Question:
-    """One question object; errors start with ``where``, or for a candidate with
-    its entry in ``candidate_where``."""
+def _parse_question(obj: dict, where: str, seen_qids: set[str], warned: set[str]) -> Question:
+    """One question object; every error starts with ``where``."""
     qid = _require_id(obj, "question_id", where)
     qtext = _require_str(obj, "question_text", where)
     if not qtext.strip():
@@ -106,20 +103,20 @@ def _parse_question(obj: dict, where: str, seen_qids: set[str], warned: set[str]
         raise CorpusError(f"{where}: question {qid}: candidates missing or empty")
     cands: list[CandidateAnswer] = []
     seen_aids: set[str] = set()
-    for cobj, cwhere in zip(raw_cands, candidate_where):
+    for cobj in raw_cands:
         if not isinstance(cobj, dict):
-            raise CorpusError(f"{cwhere}: question {qid}: candidate is not an object")
-        aid = _require_id(cobj, "answer_id", f"{cwhere} question {qid}")
-        text = _require_str(cobj, "text", f"{cwhere} question {qid}")
+            raise CorpusError(f"{where}: question {qid}: candidate is not an object")
+        aid = _require_id(cobj, "answer_id", f"{where} question {qid}")
+        text = _require_str(cobj, "text", f"{where} question {qid}")
         if aid in seen_aids:
-            raise CorpusError(f"{cwhere}: question {qid}: duplicate answer_id {aid!r}")
+            raise CorpusError(f"{where}: question {qid}: duplicate answer_id {aid!r}")
         seen_aids.add(aid)
         if not text.strip():
-            raise CorpusError(f"{cwhere}: question {qid}: answer {aid}: empty text")
+            raise CorpusError(f"{where}: question {qid}: answer {aid}: empty text")
         label = cobj.get("label")
         if not isinstance(label, bool):
-            raise CorpusError(f"{cwhere}: question {qid}: answer {aid}: label must be boolean")
-        _warn_unknown(cobj, _CANDIDATE_KEYS, f"{cwhere} answer {aid}", warned)
+            raise CorpusError(f"{where}: question {qid}: answer {aid}: label must be boolean")
+        _warn_unknown(cobj, _CANDIDATE_KEYS, f"{where} answer {aid}", warned)
         cands.append(CandidateAnswer(answer_id=aid, text=text, label=label))
     _warn_unknown(obj, _QUESTION_KEYS, where, warned)
     return Question(question_id=qid, text=qtext, candidates=tuple(cands))
@@ -145,8 +142,7 @@ def parse_canonical(stream: IO[str], name: str = "dataset", split: str = "train"
             raise CorpusError(f"line {lineno}: malformed JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise CorpusError(f"line {lineno}: expected a JSON object")
-        where = f"line {lineno}"
-        questions.append(_parse_question(obj, where, seen_qids, warned, itertools.repeat(where)))
+        questions.append(_parse_question(obj, f"line {lineno}", seen_qids, warned))
     return Dataset(name=name, split=split, questions=tuple(questions))
 
 
@@ -197,13 +193,12 @@ def convert_tsv(rows: Iterable[str], name: str = "dataset", split: str = "train"
     """Convert 4-column TSV (question_id, question_text, answer_text, label).
 
     Rows must be grouped by question_id and repeat one question_text; answer
-    ids are a0, a1, ... in row order. Each question is validated as a
-    canonical JSON object would be, so TSV inherits every invariant. Errors
-    name the 1-based row: a question's first row, or a candidate's own row.
+    ids are a0, a1, ... in row order. Rows are checked in order as they are
+    read, each as a one-answer canonical JSON object would be, so TSV inherits
+    every invariant and an error names the first faulty row, 1-based.
     """
-    objs: list[dict] = []
-    wheres: list[list[str]] = []  # per question, "line N" for each candidate's row
-    seen: set[str] = set()
+    questions: list[Question] = []  # each question as parsed from its first row
+    answers: dict[str, list[CandidateAnswer]] = {}  # per question id, its candidates in row order
     for lineno, line in enumerate(rows, start=1):
         line = line.rstrip("\n")
         if not line.strip():
@@ -214,19 +209,17 @@ def convert_tsv(rows: Iterable[str], name: str = "dataset", split: str = "train"
         qid, qtext, atext, label = cols
         if label not in ("0", "1"):
             raise CorpusError(f"line {lineno}: label must be 0 or 1, got {label!r}")
-        if not objs or objs[-1]["question_id"] != qid:
-            if qid in seen:
-                raise CorpusError(f"line {lineno}: rows for question {qid!r} are not contiguous")
-            seen.add(qid)
-            objs.append({"question_id": qid, "question_text": qtext, "candidates": []})
-            wheres.append([])
-        elif objs[-1]["question_text"] != qtext:  # the question's earlier rows report their errors first
-            _parse_question(objs[-1], wheres[-1][0], set(), set(), wheres[-1])
-            raise CorpusError(f"line {lineno}: question {qid}: question_text differs from its first row")
-        cands = objs[-1]["candidates"]
-        cands.append({"answer_id": f"a{len(cands)}", "text": atext, "label": label == "1"})
-        wheres[-1].append(f"line {lineno}")
-    seen_qids: set[str] = set()
-    questions = tuple(_parse_question(obj, where[0], seen_qids, set(), where)
-                      for obj, where in zip(objs, wheres))
-    return Dataset(name=name, split=split, questions=questions)
+        if questions and questions[-1].question_id == qid:
+            if questions[-1].text != qtext:
+                raise CorpusError(f"line {lineno}: question {qid}: question_text differs from its first row")
+        elif qid in answers:
+            raise CorpusError(f"line {lineno}: rows for question {qid!r} are not contiguous")
+        cands = answers.setdefault(qid, [])
+        obj = {"question_id": qid, "question_text": qtext,
+               "candidates": [{"answer_id": f"a{len(cands)}", "text": atext, "label": label == "1"}]}
+        row = _parse_question(obj, f"line {lineno}", set(), set())
+        if not cands:  # the question's first row
+            questions.append(row)
+        cands.append(row.candidates[0])
+    return Dataset(name=name, split=split, questions=tuple(
+        Question(q.question_id, q.text, tuple(answers[q.question_id])) for q in questions))

@@ -443,6 +443,9 @@ MALFORMED = {
         ws, {**TRAIN_CONFIG, "batch_size": 8.0}), 1),
     "config-float-hidden-size": (lambda ws: train_with_config(
         ws, {**TRAIN_CONFIG, "model": {**TRAIN_CONFIG["model"], "hidden_size": 16.0}}), 1),
+    # 1.36 PiB of parameters, more than the kernel maps for one process, so it fails at once
+    "config-model-too-large": (lambda ws: train_with_config(ws, {**TRAIN_CONFIG, "model": {
+        **TRAIN_CONFIG["model"], "hidden_size": 4_000_000, "num_heads": 1, "ffn_size": 4_000_000}}), 1),
     "config-unknown-filter-mode": (lambda ws: train_with_config(
         ws, {**TRAIN_CONFIG, "filter_mode": "bogus"}), 1),
     "config-not-object": (lambda ws: train_with_config(ws, []), 1),

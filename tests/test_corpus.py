@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -214,11 +215,37 @@ def test_convert_tsv_non_contiguous():
     # rows of one question must agree on its text
     (["q1\twho wrote hamlet\ta\t1", "q1\twho wrote macbeth\tb\t0"],
      "line 2: question q1: question_text differs from its first row"),
+    # rows are checked in order, so the first faulty row is the one reported
+    (["q1\tt\ta\t1", "q 1\tt\tb\t0", "q1\tt\tc\t0"],
+     "line 2: field 'question_id' contains whitespace"),
+    (["q1\tt\ta\t1", "q1\tt\t\t0", "q1\tt\tc\t0", "q1\tt\td\tx"],
+     "line 2: question q1: answer a1: empty text"),
+    (["q1\t \ta\t1", "q1\t \tb\t0", "q2\tt"], "line 1: question q1: empty question_text"),
 ])
 def test_convert_tsv_errors_name_the_tsv_row(rows, message):
     with pytest.raises(CorpusError) as exc:
         convert_tsv(rows)
     assert str(exc.value) == message
+
+
+# TSV rows, mostly well-formed; "q 1", " ", "" and "x" are a bad id, question text,
+# answer text and label, and the fixed rows have a blank line and wrong column counts
+TSV_ROWS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["q1", "q2", "q3", "q 1"]), st.sampled_from(["t", "u", " "]),
+              st.sampled_from(["a", "b", ""]), st.sampled_from(["0", "1", "x"])).map("\t".join),
+    st.sampled_from(["", "q1\tt", "q2\tt\ta\t1\t0"])), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TSV_ROWS)
+def test_convert_tsv_reports_the_first_faulty_row(rows):
+    try:
+        dataset = convert_tsv(rows)
+    except CorpusError as exc:
+        lineno = int(re.match(r"line (\d+): ", str(exc)).group(1))
+        convert_tsv(rows[:lineno - 1])  # every row before the reported one converts
+        return
+    assert roundtrip(dataset) == dataset
 
 
 @settings(max_examples=30, deadline=None)
