@@ -59,7 +59,11 @@ def cmd_stats(args) -> None:
 
 def cmd_train(args) -> None:
     with open(args.config, encoding="utf-8") as f:
-        config = TrainConfig.from_dict(json.load(f))
+        try:
+            raw = json.load(f)
+        except RecursionError as exc:  # nested deeper than the parser's stack
+            raise ValueError(f"bad train config: {exc}") from exc
+    config = TrainConfig.from_dict(raw)
     if args.epochs is not None:
         config = replace(config, num_epochs=args.epochs)
     if args.seed is not None:

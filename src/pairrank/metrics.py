@@ -28,17 +28,8 @@ class RankedList:
 
 
 @dataclass(frozen=True)
-class QuestionResult:
-    question_id: str
-    reciprocal_rank: float
-    average_precision: float
-    num_candidates: int
-    num_positive: int
-
-
-@dataclass(frozen=True)
 class EvalReport:
-    per_question: tuple[QuestionResult, ...]
+    per_question: tuple[dict, ...]  # one row per question, as the report JSON prints it
     mrr: float
     map: float
     num_questions_scored: int
@@ -54,7 +45,7 @@ class EvalReport:
             "num_questions_scored": self.num_questions_scored,
             "num_questions_skipped": self.num_questions_skipped,
             "filter_mode": self.filter_mode,
-            "per_question": [dict(r.__dict__) for r in self.per_question],
+            "per_question": list(self.per_question),
         }
 
     def to_json(self) -> str:
@@ -94,20 +85,18 @@ def compute_report(questions: Sequence[Question],
                    rankings: Sequence[RankedList],
                    filter_mode: str,
                    num_skipped: int) -> EvalReport:
-    per_question = []
-    for q, ranked in zip(questions, rankings):
-        per_question.append(QuestionResult(
-            question_id=q.question_id,
-            reciprocal_rank=reciprocal_rank(ranked),
-            average_precision=average_precision(ranked),
-            num_candidates=len(q.candidates),
-            num_positive=sum(1 for c in q.candidates if c.label),
-        ))
+    per_question = tuple({
+        "question_id": q.question_id,
+        "reciprocal_rank": reciprocal_rank(ranked),
+        "average_precision": average_precision(ranked),
+        "num_candidates": len(q.candidates),
+        "num_positive": sum(1 for c in q.candidates if c.label),
+    } for q, ranked in zip(questions, rankings))
     n = len(per_question)
     return EvalReport(
-        per_question=tuple(per_question),
-        mrr=sum(r.reciprocal_rank for r in per_question) / n if n else 0.0,
-        map=sum(r.average_precision for r in per_question) / n if n else 0.0,
+        per_question=per_question,
+        mrr=sum(r["reciprocal_rank"] for r in per_question) / n if n else 0.0,
+        map=sum(r["average_precision"] for r in per_question) / n if n else 0.0,
         num_questions_scored=n,
         num_questions_skipped=num_skipped,
         filter_mode=filter_mode,

@@ -4,7 +4,8 @@ Pure numpy, float64, with hand-written reverse-mode gradients so that
 training needs no framework and gradient checking is exact up to floating
 point. Parameters live in a single flat vector; named tensors are numpy
 views into it, in the documented order (see ``param_layout``), which is
-also the checkpoint order.
+also the checkpoint order. ``num_params`` sums the layout's sizes in closed
+form (a test ties the two), so sizing a vector builds nothing per layer.
 
 Block structure per layer (post-layer-norm, as in the original deep
 bidirectional encoder this is modeled after): multi-head self-attention
@@ -36,7 +37,6 @@ process (``_keep_freed_heap``), so batches of changing length reuse it.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import platform
 from dataclasses import dataclass
@@ -114,7 +114,8 @@ def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
 
     Kinds: "normal" = truncated normal(0, 0.02, +/-2 sigma), "zeros",
     "ones". The flat checkpoint vector concatenates tensors in exactly
-    this order, each in C (row-major) order.
+    this order, each in C (row-major) order. ``num_params`` restates the
+    sizes in closed form, and a test ties the two.
     """
     h, f = config.hidden_size, config.ffn_size
     layout: list[tuple[str, tuple[int, ...], str]] = [
@@ -139,16 +140,6 @@ def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     return layout
 
 
-@functools.lru_cache
-def _layout_spans(config: ModelConfig) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
-    """``param_layout`` as (name, shape, start, end) slices of the flat vector."""
-    spans, start = [], 0
-    for name, shape, _ in param_layout(config):
-        spans.append((name, shape, start, start + math.prod(shape)))
-        start += math.prod(shape)
-    return tuple(spans)
-
-
 class ModelParams:
     """All learnable tensors, backed by one flat float64 vector.
 
@@ -159,20 +150,26 @@ class ModelParams:
 
     def __init__(self, config: ModelConfig, flat: np.ndarray):
         expected = num_params(config)
-        if flat.shape != (expected,):
+        if flat.shape != (expected,):  # checked before any per-layer work
             raise ValueError(f"flat vector has {flat.shape}, expected ({expected},)")
         self.config = config
         self.flat = flat
-        self.tensors: dict[str, np.ndarray] = {
-            name: flat[start:end].reshape(shape)
-            for name, shape, start, end in _layout_spans(config)}
+        self.tensors: dict[str, np.ndarray] = {}
+        start = 0
+        for name, shape, _ in param_layout(config):
+            end = start + math.prod(shape)
+            self.tensors[name] = flat[start:end].reshape(shape)
+            start = end
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
 
 def num_params(config: ModelConfig) -> int:
-    return _layout_spans(config)[-1][3]
+    """The sum of ``param_layout``'s sizes in closed form, O(1) in num_layers."""
+    h, f = config.hidden_size, config.ffn_size
+    per_layer = 4 * (h * h + h) + 2 * h + (h * f + f) + (f * h + h) + 2 * h
+    return (config.vocab_size + config.max_len + 2) * h + config.num_layers * per_layer + h + 1
 
 
 def init_params(config: ModelConfig) -> ModelParams:

@@ -316,8 +316,9 @@ def test_checkpoint_independent_of_blas_threads(workspace, model_overrides):
                   run_outputs(out_dir, proc.stdout))
 
 
-def train_with_config(ws: Path, config: dict | list, *flags: str) -> list[str]:
-    (ws / "bad_config.json").write_text(json.dumps(config))
+def train_with_config(ws: Path, config: dict | list | str, *flags: str) -> list[str]:
+    """Train with ``config`` written as JSON, or as given when it is already text."""
+    (ws / "bad_config.json").write_text(config if isinstance(config, str) else json.dumps(config))
     return ["train", "--train", str(ws / "train.jsonl"), "--config", str(ws / "bad_config.json"),
             "--out-dir", str(ws / "bad_run"), *flags]
 
@@ -446,6 +447,10 @@ MALFORMED = {
     # 1.36 PiB of parameters, more than the kernel maps for one process, so it fails at once
     "config-model-too-large": (lambda ws: train_with_config(ws, {**TRAIN_CONFIG, "model": {
         **TRAIN_CONFIG["model"], "hidden_size": 4_000_000, "num_heads": 1, "ffn_size": 4_000_000}}), 1),
+    # a vector of over 2**63 bytes, which numpy refuses before allocating anything
+    "config-too-many-layers": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "model": {**TRAIN_CONFIG["model"], "num_layers": 10**15}}), 1),
+    "config-deep-nesting": (lambda ws: train_with_config(ws, "[" * 100_000 + "]" * 100_000), 1),
     "config-unknown-filter-mode": (lambda ws: train_with_config(
         ws, {**TRAIN_CONFIG, "filter_mode": "bogus"}), 1),
     "config-not-object": (lambda ws: train_with_config(ws, []), 1),
@@ -468,6 +473,9 @@ MALFORMED = {
     # the header implies over 10**16 parameters; the file holds far fewer bytes
     "checkpoint-huge-vocab-size": (lambda ws: eval_with_checkpoint(
         ws, edit_header=lambda h: {**h, "vocab_size": 10**15}), 2),
+    # truncated checkpoint parameters, found without building anything per layer
+    "checkpoint-too-many-layers": (lambda ws: eval_with_checkpoint(
+        ws, edit_header=lambda h: {**h, "num_layers": 10**15}, edit_params=lambda b: b""), 2),
     "checkpoint-trailing-bytes": (lambda ws: eval_with_checkpoint(ws, trailing=b"\0" * 4), 2),
     # the parameters start with tok_emb, so this puts one NaN into tok_emb[0, 0]
     "checkpoint-nan-parameter": (lambda ws: eval_with_checkpoint(

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,19 @@ def loads_or_checkpoint_error(data: bytes) -> None:
 
 def with_header(header: bytes, body: bytes = b"") -> bytes:
     return CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header)) + header + body
+
+
+def test_checkpoint_declaring_many_layers_is_rejected_before_any_layer_is_built():
+    header = json.dumps({**TINY_MODEL.to_dict(), "num_layers": 10**5}).encode()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="truncated checkpoint parameters"):
+            load_checkpoint(io.BytesIO(with_header(header)))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert held < 64 << 10  # nothing cached for the rejected config
 
 
 @settings(max_examples=100, deadline=None)

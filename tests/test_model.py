@@ -1,5 +1,6 @@
 import ctypes
 import itertools
+import math
 import platform
 import types
 
@@ -11,7 +12,6 @@ from pairrank.model import (
     _DROPOUT_STREAM,
     _embedding_grad,
     _layer_norm,
-    _layout_spans,
     ModelConfig,
     ModelParams,
     backward,
@@ -79,9 +79,24 @@ def test_flat_views_share_memory():
     assert p["tok_emb"][0, 0] == pytest.approx(p.flat[0])
 
 
+def random_configs(n: int, seed: int):
+    """Valid configs with 1-6 layers and odd sizes (hidden 6, 3 heads, FFN 7 among them)."""
+    rng = np.random.default_rng(seed)
+    yield ModelConfig(vocab_size=11, hidden_size=6, num_layers=3, num_heads=3, ffn_size=7, max_len=9)
+    for _ in range(n):
+        heads = int(rng.integers(1, 5))
+        hidden = heads * int(rng.integers(1, 6))
+        yield ModelConfig(vocab_size=int(rng.integers(5, 40)), hidden_size=hidden,
+                          num_layers=int(rng.integers(1, 7)), num_heads=heads,
+                          ffn_size=hidden + int(rng.integers(0, 12)),
+                          max_len=int(rng.integers(8, 30)), seed=int(rng.integers(100)))
+
+
 def test_param_layout_covers_flat():
-    total = sum(int(np.prod(s)) if s else 1 for _, s, _ in param_layout(TINY))
-    assert total == num_params(TINY) == init_params(TINY).flat.size
+    # num_params restates param_layout's sizes in closed form
+    for cfg in [TINY, ModelConfig(vocab_size=30), *random_configs(60, seed=3)]:
+        total = sum(math.prod(s) for _, s, _ in param_layout(cfg))
+        assert total == num_params(cfg) == init_params(cfg).flat.size, cfg
 
 
 def test_config_validation():
@@ -225,7 +240,8 @@ def test_gradient_check_two_layers_train_mode(vocab):
              encode_pair(vocab, "who wrote hamlet", "the play " * 20, max_len=cfg.max_len)]
     g = np.random.default_rng(8).normal(size=len(pairs))
     rng = np.random.default_rng(9)
-    indices = [j for _, _, start, end in _layout_spans(cfg)  # a few entries of every tensor
+    ends = np.cumsum([math.prod(shape) for _, shape, _ in param_layout(cfg)])
+    indices = [j for start, end in zip([0, *ends[:-1]], ends)  # a few entries of every tensor
                for j in rng.choice(np.arange(start, end), min(6, end - start), replace=False)]
     check_gradient_entries(params, pairs, g, indices, train_mode=True)
 
