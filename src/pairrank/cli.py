@@ -54,7 +54,7 @@ def cmd_convert(args) -> None:
 
 def cmd_stats(args) -> None:
     ds = _load_dataset(args.infile)
-    print(json.dumps(asdict(corpus.compute_stats(ds)), indent=2))
+    print(json.dumps(corpus.compute_stats(ds), indent=2))
 
 
 def cmd_train(args) -> None:
@@ -88,11 +88,12 @@ def cmd_train(args) -> None:
 
 def cmd_eval(args) -> None:
     params, vocab = _load_model(args.checkpoint, args.vocab)
-    report = metrics.evaluate(params, vocab, _load_dataset(args.data), filter_mode=args.filter)
+    report, rankings = metrics.evaluate(params, vocab, _load_dataset(args.data),
+                                        filter_mode=args.filter)
     if args.run_file:
         with open(args.run_file, "w", encoding="utf-8") as f:
-            metrics.write_trec_run(report.rankings, f)
-    print(report.to_json())
+            metrics.write_trec_run(rankings, f)
+    print(json.dumps(report, indent=2, sort_keys=True))
 
 
 def cmd_rank(args) -> None:

@@ -51,16 +51,6 @@ class Dataset:
     questions: tuple[Question, ...]
 
 
-@dataclass(frozen=True)
-class DatasetStats:
-    num_questions: int
-    num_candidates: int
-    num_positive: int
-    num_negative: int
-    num_answerable: int
-    num_train_pairs: int
-
-
 def _warn_unknown(obj: dict, known: set[str], where: str, warned: set[str]) -> None:
     for key in obj:  # in line order, not a set's
         if key not in known and key not in warned:
@@ -106,8 +96,8 @@ def _parse_question(obj: dict, where: str, seen_qids: set[str], warned: set[str]
     for cobj in raw_cands:
         if not isinstance(cobj, dict):
             raise CorpusError(f"{where}: question {qid}: candidate is not an object")
-        aid = _require_id(cobj, "answer_id", f"{where} question {qid}")
-        text = _require_str(cobj, "text", f"{where} question {qid}")
+        aid = _require_id(cobj, "answer_id", f"{where}: question {qid}")
+        text = _require_str(cobj, "text", f"{where}: question {qid}")
         if aid in seen_aids:
             raise CorpusError(f"{where}: question {qid}: duplicate answer_id {aid!r}")
         seen_aids.add(aid)
@@ -158,7 +148,8 @@ def write_canonical(dataset: Dataset, stream: IO[str]) -> None:
         stream.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def compute_stats(dataset: Dataset) -> DatasetStats:
+def compute_stats(dataset: Dataset) -> dict[str, int]:
+    """The counts ``stats`` prints, in the order it prints them."""
     num_candidates = num_positive = num_answerable = num_train_pairs = 0
     for q in dataset.questions:
         pos = sum(1 for c in q.candidates if c.label)
@@ -168,14 +159,14 @@ def compute_stats(dataset: Dataset) -> DatasetStats:
         if pos >= 1 and neg >= 1:
             num_answerable += 1
         num_train_pairs += pos * neg
-    return DatasetStats(
-        num_questions=len(dataset.questions),
-        num_candidates=num_candidates,
-        num_positive=num_positive,
-        num_negative=num_candidates - num_positive,
-        num_answerable=num_answerable,
-        num_train_pairs=num_train_pairs,
-    )
+    return {
+        "num_questions": len(dataset.questions),
+        "num_candidates": num_candidates,
+        "num_positive": num_positive,
+        "num_negative": num_candidates - num_positive,
+        "num_answerable": num_answerable,
+        "num_train_pairs": num_train_pairs,
+    }
 
 
 def filter_evaluable(dataset: Dataset, mode: str) -> Dataset:

@@ -237,6 +237,6 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset | None = Non
             if dev_set is not None and step % eval_every == 0:
                 rankings = rank_encoded(params, dev_set.questions, dev_pairs)
                 report = compute_report(dev_set.questions, rankings, config.filter_mode, 0)
-                history.evals.append((step, report.mrr, report.map))
+                history.evals.append((step, report["mrr"], report["map"]))
         history.epoch_seconds.append(time.monotonic() - t0)
     return params, vocab, history

@@ -8,7 +8,6 @@ means over the questions that survive filtering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -25,31 +24,6 @@ BATCH_SIZE = 64  # pairs per eval-mode forward
 class RankedList:
     question_id: str
     entries: tuple[tuple[str, float, bool], ...]  # (answer_id, score, label), rank order
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    per_question: tuple[dict, ...]  # one row per question, as the report JSON prints it
-    mrr: float
-    map: float
-    num_questions_scored: int
-    num_questions_skipped: int
-    filter_mode: str
-    # the rankings the metrics were computed from; not part of the report JSON
-    rankings: tuple[RankedList, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "mrr": self.mrr,
-            "map": self.map,
-            "num_questions_scored": self.num_questions_scored,
-            "num_questions_skipped": self.num_questions_skipped,
-            "filter_mode": self.filter_mode,
-            "per_question": list(self.per_question),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def rank_candidates(question: Question, scores: Sequence[float]) -> RankedList:
@@ -84,24 +58,24 @@ def average_precision(ranked: RankedList) -> float:
 def compute_report(questions: Sequence[Question],
                    rankings: Sequence[RankedList],
                    filter_mode: str,
-                   num_skipped: int) -> EvalReport:
-    per_question = tuple({
+                   num_skipped: int) -> dict:
+    """The report as the ``eval`` JSON prints it: MRR, MAP and one row per question."""
+    per_question = [{
         "question_id": q.question_id,
         "reciprocal_rank": reciprocal_rank(ranked),
         "average_precision": average_precision(ranked),
         "num_candidates": len(q.candidates),
         "num_positive": sum(1 for c in q.candidates if c.label),
-    } for q, ranked in zip(questions, rankings))
+    } for q, ranked in zip(questions, rankings)]
     n = len(per_question)
-    return EvalReport(
-        per_question=per_question,
-        mrr=sum(r["reciprocal_rank"] for r in per_question) / n if n else 0.0,
-        map=sum(r["average_precision"] for r in per_question) / n if n else 0.0,
-        num_questions_scored=n,
-        num_questions_skipped=num_skipped,
-        filter_mode=filter_mode,
-        rankings=tuple(rankings),
-    )
+    return {
+        "mrr": sum(r["reciprocal_rank"] for r in per_question) / n if n else 0.0,
+        "map": sum(r["average_precision"] for r in per_question) / n if n else 0.0,
+        "num_questions_scored": n,
+        "num_questions_skipped": num_skipped,
+        "filter_mode": filter_mode,
+        "per_question": per_question,
+    }
 
 
 def encode_questions(vocab: Vocab, questions: Sequence[Question],
@@ -143,12 +117,13 @@ def rank_dataset(params: ModelParams, vocab: Vocab, dataset: Dataset) -> list[Ra
 
 
 def evaluate(params: ModelParams, vocab: Vocab, dataset: Dataset,
-             filter_mode: str = "require_positive") -> EvalReport:
-    """Filter, score, rank, and aggregate MRR/MAP over a dataset."""
+             filter_mode: str = "require_positive") -> tuple[dict, list[RankedList]]:
+    """Filter, score and rank a dataset; return its MRR/MAP report and the rankings behind it."""
     kept = filter_evaluable(dataset, filter_mode)
     rankings = rank_dataset(params, vocab, kept)
-    return compute_report(kept.questions, rankings, filter_mode,
-                          num_skipped=len(dataset.questions) - len(kept.questions))
+    report = compute_report(kept.questions, rankings, filter_mode,
+                            num_skipped=len(dataset.questions) - len(kept.questions))
+    return report, rankings
 
 
 def write_trec_run(rankings: Sequence[RankedList], stream: IO[str]) -> None:

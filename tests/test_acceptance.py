@@ -51,8 +51,8 @@ def test_criterion_1_metric_oracle_equivalence():
         aps.append(oracle_ap(scored))
     report = compute_report(questions, rankings, "keep_all", num_skipped=0)
     elapsed = time.monotonic() - t0
-    mrr_err = abs(report.mrr - sum(rrs) / 200)
-    map_err = abs(report.map - sum(aps) / 200)
+    mrr_err = abs(report["mrr"] - sum(rrs) / 200)
+    map_err = abs(report["map"] - sum(aps) / 200)
     check(1, "MRR/MAP match brute-force oracle on 200 random questions",
           mrr_err < 1e-12 and map_err < 1e-12 and elapsed < 1.0,
           f"mrr_err={mrr_err:.2e} map_err={map_err:.2e} time={elapsed:.2f}s")
@@ -154,8 +154,8 @@ def test_criterion_5_mechanism_proof_separable_corpus():
     config = TrainConfig(model=DESK_MODEL, num_epochs=40, base_seed=0)
     assert config.num_epochs <= 200
     params, vocab, _ = train(config, train_set)
-    train_mrr = evaluate(params, vocab, train_set).mrr
-    held_mrr = evaluate(params, vocab, held_out).mrr
+    train_mrr = evaluate(params, vocab, train_set)[0]["mrr"]
+    held_mrr = evaluate(params, vocab, held_out)[0]["mrr"]
     elapsed = time.monotonic() - t0
     check(5, "training mechanism ranks the separable corpus",
           train_mrr >= 0.95 and held_mrr >= 0.85 and elapsed < 300.0,
@@ -171,8 +171,8 @@ def test_criterion_6_full_run_determinism():
         params, vocab, _ = train(config, train_set, dev_set)
         buf = io.BytesIO()
         save_checkpoint(params, buf)
-        report = evaluate(params, vocab, dev_set, filter_mode=config.filter_mode)
-        return buf.getvalue(), report.to_json()
+        report, _ = evaluate(params, vocab, dev_set, filter_mode=config.filter_mode)
+        return buf.getvalue(), json.dumps(report, indent=2, sort_keys=True)
 
     ckpt1, report1 = one_run()
     ckpt2, report2 = one_run()
@@ -190,8 +190,8 @@ def test_criterion_7_corpus_integrity():
     stats = compute_stats(ds)
     triples = generate_triples(ds, SamplingConfig(strategy="cross_product"))
     check(7, "JSONL round-trip identity and cross-product count on 1000 fuzzed questions",
-          again == ds and len(triples) == stats.num_train_pairs,
-          f"num_train_pairs={stats.num_train_pairs}")
+          again == ds and len(triples) == stats["num_train_pairs"],
+          f"num_train_pairs={stats['num_train_pairs']}")
 
 
 def test_criterion_8_wikiqa_table_stats():
@@ -202,5 +202,5 @@ def test_criterion_8_wikiqa_table_stats():
         ds = parse_canonical(f, name="wikiqa", split="train")
     stats = compute_stats(ds)
     check(8, "WikiQA train split matches published statistics",
-          stats.num_questions == 873 and stats.num_train_pairs == 8995,
-          f"questions={stats.num_questions} pairs={stats.num_train_pairs}")
+          stats["num_questions"] == 873 and stats["num_train_pairs"] == 8995,
+          f"questions={stats['num_questions']} pairs={stats['num_train_pairs']}")

@@ -120,9 +120,18 @@ def test_convert_and_stats(tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main(["convert", "--from", "tsv", "--in", str(tsv), "--out", str(out)]) == 0
     assert main(["stats", "--in", str(out)]) == 0
-    stats = json.loads(capsys.readouterr().out)
-    assert stats["num_questions"] == 1
-    assert stats["num_train_pairs"] == 1
+    assert capsys.readouterr().out == (  # in this key order, indented by two spaces
+        '{\n  "num_questions": 1,\n  "num_candidates": 2,\n  "num_positive": 1,\n'
+        '  "num_negative": 1,\n  "num_answerable": 1,\n  "num_train_pairs": 1\n}\n')
+
+
+def test_stats_skips_blank_lines(tmp_path, capsys):
+    lines = [json.dumps({"question_id": qid, "question_text": "who wrote it", "candidates": [
+        {"answer_id": "a1", "text": "shakespeare", "label": True}]}) for qid in ("q1", "q2")]
+    data = tmp_path / "blank_lines.jsonl"
+    data.write_text("\n" + lines[0] + "\n\n \t \n" + lines[1] + "\n  \n")
+    assert main(["stats", "--in", str(data)]) == 0
+    assert json.loads(capsys.readouterr().out)["num_questions"] == 2
 
 
 def test_stats_missing_file_is_data_error(tmp_path):
@@ -190,6 +199,30 @@ def test_train_epochs_flag_overrides(workspace):
     assert saved["num_epochs"] == 1
 
 
+def test_train_seed_flag_sets_all_three_seeds(tmp_path):
+    """``--seed 3`` trains as a config setting base_seed, model.seed and sampling.seed to 3."""
+    with open(tmp_path / "train.jsonl", "w") as f:
+        write_canonical(make_separable_corpus(6, num_neg=3, seed=1), f)
+
+    def checkpoint(base_seed, model_seed, sampling_seed, *flags):
+        out_dir = tmp_path / "_".join(map(str, (base_seed, model_seed, sampling_seed, *flags)))
+        # batches of 2 of the 6 triples, so base_seed's shuffle changes the updates
+        config = {**TRAIN_CONFIG, "num_epochs": 2, "batch_size": 2, "base_seed": base_seed,
+                  "model": {**TRAIN_CONFIG["model"], "hidden_size": 8, "seed": model_seed},
+                  "sampling": {"strategy": "sampled_k", "k": 1, "seed": sampling_seed}}
+        (tmp_path / "seed_config.json").write_text(json.dumps(config))
+        assert main(["train", "--train", str(tmp_path / "train.jsonl"),
+                     "--config", str(tmp_path / "seed_config.json"),
+                     "--out-dir", str(out_dir), *flags]) == 0
+        return (out_dir / "model.ckpt").read_bytes()
+
+    flagged = checkpoint(0, 0, 0, "--seed", "3")
+    assert flagged == checkpoint(3, 3, 3)
+    # each seed matters, so the flag must set all three
+    for seeds in [(0, 3, 3), (3, 0, 3), (3, 3, 0)]:
+        assert checkpoint(*seeds) != flagged, seeds
+
+
 def test_eval_vocab_mismatch_is_data_error(workspace, tmp_path):
     out_dir = run_training(workspace)
     bad_vocab = tmp_path / "bad_vocab.txt"
@@ -251,7 +284,7 @@ def test_eval_run_file_forwards_each_kept_pair_once(model_files, workspace, caps
 def test_eval_run_file_matches_report(model_files, workspace, capsys):
     _, _, params, vocab = model_files
     data, report, runs = run_eval(model_files, workspace, capsys)
-    expected = metrics.evaluate(params, vocab, data).rankings
+    _, expected = metrics.evaluate(params, vocab, data)
     assert list(runs) == [r.question_id for r in expected] \
         == [r["question_id"] for r in report["per_question"]]
     labels = {(q.question_id, c.answer_id): c.label for q in data.questions for c in q.candidates}
@@ -409,6 +442,20 @@ def stats_of_line(ws: Path, line: str) -> list[str]:
     return ["stats", "--in", str(ws / "odd.jsonl")]
 
 
+def stats_of_question(ws: Path, **fields) -> list[str]:
+    """``stats`` on one question line: a valid question with ``fields`` replaced (None drops one)."""
+    obj = {"question_id": "q1", "question_text": "who wrote it",
+           "candidates": [{"answer_id": "a1", "text": "shakespeare", "label": True}], **fields}
+    return stats_of_line(ws, json.dumps({k: v for k, v in obj.items() if v is not None}))
+
+
+def eval_with_cut_checkpoint(ws: Path, size: int) -> list[str]:
+    """The fixture checkpoint cut to its first ``size`` bytes."""
+    (ws / "cut.ckpt").write_bytes((ws / "init.ckpt").read_bytes()[:size])
+    return ["eval", "--checkpoint", str(ws / "cut.ckpt"), "--vocab", str(ws / "init_vocab.txt"),
+            "--data", str(ws / "dev.jsonl")]
+
+
 def stats_non_utf8(ws: Path) -> list[str]:
     (ws / "latin1.jsonl").write_bytes(
         '{"question_id": "q1", "question_text": "caf\u00e9", "candidates": []}\n'.encode("latin-1"))
@@ -451,6 +498,10 @@ MALFORMED = {
     "config-too-many-layers": (lambda ws: train_with_config(
         ws, {**TRAIN_CONFIG, "model": {**TRAIN_CONFIG["model"], "num_layers": 10**15}}), 1),
     "config-deep-nesting": (lambda ws: train_with_config(ws, "[" * 100_000 + "]" * 100_000), 1),
+    "config-float-sampling-k": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "sampling": {"k": 1.5}}), 1),
+    "config-bool-sampling-seed": (lambda ws: train_with_config(
+        ws, {**TRAIN_CONFIG, "sampling": {"seed": True}}), 1),
     "config-unknown-filter-mode": (lambda ws: train_with_config(
         ws, {**TRAIN_CONFIG, "filter_mode": "bogus"}), 1),
     "config-not-object": (lambda ws: train_with_config(ws, []), 1),
@@ -476,6 +527,9 @@ MALFORMED = {
     # truncated checkpoint parameters, found without building anything per layer
     "checkpoint-too-many-layers": (lambda ws: eval_with_checkpoint(
         ws, edit_header=lambda h: {**h, "num_layers": 10**15}, edit_params=lambda b: b""), 2),
+    # magic, version and header length intact, then the JSON header stops after 10 bytes
+    "checkpoint-cut-in-config": (lambda ws: eval_with_cut_checkpoint(
+        ws, len(CHECKPOINT_MAGIC) + 8 + 10), 2),
     "checkpoint-trailing-bytes": (lambda ws: eval_with_checkpoint(ws, trailing=b"\0" * 4), 2),
     # the parameters start with tok_emb, so this puts one NaN into tok_emb[0, 0]
     "checkpoint-nan-parameter": (lambda ws: eval_with_checkpoint(
@@ -497,6 +551,12 @@ MALFORMED = {
     "corpus-huge-integer": (lambda ws: stats_of_line(ws, '{"question_id": ' + "1" * 4301 + "}"), 2),
     "corpus-deep-nesting": (lambda ws: stats_of_line(ws, "[" * 100_000), 2),
     "corpus-lone-surrogate": (lambda ws: stats_of_line(ws, LONE_SURROGATE), 2),
+    "corpus-empty-question-id": (lambda ws: stats_of_question(ws, question_id=""), 2),
+    "corpus-empty-answer-id": (lambda ws: stats_of_question(ws, candidates=[
+        {"answer_id": "", "text": "shakespeare", "label": True}]), 2),
+    "corpus-missing-candidates": (lambda ws: stats_of_question(ws, candidates=None), 2),
+    "corpus-empty-candidates": (lambda ws: stats_of_question(ws, candidates=[]), 2),
+    "corpus-candidate-not-object": (lambda ws: stats_of_question(ws, candidates=["shakespeare"]), 2),
     "eval-space-in-question-id": (lambda ws: eval_of_data(ws, SPACE_IN_QUESTION_ID), 2),
     "eval-newline-in-answer-id": (lambda ws: eval_of_data(ws, NEWLINE_IN_ANSWER_ID), 2),
     # paths that cannot be opened or created are data errors
@@ -516,6 +576,18 @@ def test_malformed_input_exit_code(case, model_files, workspace, capsys):
     assert code == expected, err
     assert "Traceback" not in err
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case, message", [
+    # without the length check, json.loads would reject the cut header with exit 2 too
+    ("checkpoint-cut-in-config", "error: truncated checkpoint config\n"),
+    # a candidate field's error names its line and question as every corpus error does
+    ("corpus-empty-answer-id", "error: line 1: question q1: empty answer_id\n"),
+])
+def test_malformed_input_message(case, message, model_files, workspace, capsys):
+    build_argv, _ = MALFORMED[case]
+    main(build_argv(workspace))
+    assert capsys.readouterr().err == message
 
 
 # one row per exit code, run as `python -m pairrank` in a child process

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import re
@@ -116,21 +115,21 @@ def test_stats_basic():
         [CandidateAnswer(f"p{i}", "x", True) for i in range(2)]
         + [CandidateAnswer(f"n{i}", "x", False) for i in range(3)]))
     stats = compute_stats(Dataset(name="d", split="train", questions=(q,)))
-    assert stats.num_train_pairs == 6
-    assert stats.num_positive == 2
-    assert stats.num_negative == 3
-    assert stats.num_answerable == 1
+    assert stats["num_train_pairs"] == 6
+    assert stats["num_positive"] == 2
+    assert stats["num_negative"] == 3
+    assert stats["num_answerable"] == 1
 
 
 def test_stats_empty():
     stats = compute_stats(Dataset(name="d", split="train", questions=()))
-    assert dataclasses.asdict(stats) == dict.fromkeys(dataclasses.asdict(stats), 0)
+    assert stats == dict.fromkeys(stats, 0)
 
 
 def test_stats_invariants_and_order_invariance():
     ds = make_random_dataset(40, seed=11)
     stats = compute_stats(ds)
-    assert stats.num_positive + stats.num_negative == stats.num_candidates
+    assert stats["num_positive"] + stats["num_negative"] == stats["num_candidates"]
     reversed_ds = Dataset(name=ds.name, split=ds.split,
                           questions=tuple(reversed(ds.questions)))
     assert compute_stats(reversed_ds) == stats
@@ -161,6 +160,11 @@ def test_filter_idempotent(mode):
     ds = make_random_dataset(30, seed=3)
     once = filter_evaluable(ds, mode)
     assert filter_evaluable(once, mode) == once
+
+
+def test_filter_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown filter mode"):
+        filter_evaluable(_mini_filter_dataset(), "bogus")
 
 
 def _one_label_dataset(label: bool) -> Dataset:
@@ -221,6 +225,8 @@ def test_convert_tsv_non_contiguous():
     (["q1\tt\ta\t1", "q1\tt\t\t0", "q1\tt\tc\t0", "q1\tt\td\tx"],
      "line 2: question q1: answer a1: empty text"),
     (["q1\t \ta\t1", "q1\t \tb\t0", "q2\tt"], "line 1: question q1: empty question_text"),
+    # a candidate field's error names its row and question with a colon after each
+    (["q1\tt\ta\ud800\t1"], "line 1: question q1: field 'text' is not valid Unicode"),
 ])
 def test_convert_tsv_errors_name_the_tsv_row(rows, message):
     with pytest.raises(CorpusError) as exc:

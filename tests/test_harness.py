@@ -99,6 +99,19 @@ def test_adam_state_carries_moments():
     assert state.m is not None and state.m[0] > 0
 
 
+def test_optimizer_rejects_gradient_of_another_size_before_any_update():
+    cfg = tiny_train_config(optimizer="adam")
+    params, state = flat_params([1.0]), OptimizerState()
+    optimizer_step(params, flat_params([0.5]), state, cfg)
+    before = params.flat.copy(), state.m.copy(), state.v.copy()
+    wider = dataclasses.replace(TINY_MODEL, vocab_size=TINY_MODEL.vocab_size + 1)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        optimizer_step(params, ModelParams(wider, np.ones(num_params(wider))), state, cfg)
+    assert state.step == 1
+    for got, want in zip((params.flat, state.m, state.v), before):
+        assert np.array_equal(got, want)
+
+
 def test_adam_matches_textbook_formula_bitwise_in_place():
     cfg = tiny_train_config(optimizer="adam", learning_rate=0.01)
     rs = np.random.default_rng(6)
@@ -243,9 +256,9 @@ def test_train_records_dev_evals():
     noisy_dev = make_random_dataset(12, seed=5, split="dev")
     cfg = tiny_train_config(num_epochs=2, batch_size=5, eval_every=2)
     params, vocab, history = train(cfg, ds, dev_set=noisy_dev)
-    report = evaluate(params, vocab, noisy_dev, cfg.filter_mode)
-    assert report.mrr < 1.0 and report.num_questions_skipped > 0
-    assert history.evals[-1] == (6, report.mrr, report.map)
+    report, _ = evaluate(params, vocab, noisy_dev, cfg.filter_mode)
+    assert report["mrr"] < 1.0 and report["num_questions_skipped"] > 0
+    assert history.evals[-1] == (6, report["mrr"], report["map"])
 
 
 def test_train_encodes_each_dev_pair_once(monkeypatch):
@@ -358,8 +371,8 @@ def test_train_learns_separable_corpus():
     ds = make_separable_corpus(12, num_neg=3, seed=5)
     cfg = tiny_train_config(num_epochs=40, batch_size=8, learning_rate=3e-3)
     params, vocab, history = train(cfg, ds)
-    report = evaluate(params, vocab, ds, filter_mode="require_positive")
-    assert report.mrr >= 0.9
+    report, _ = evaluate(params, vocab, ds, filter_mode="require_positive")
+    assert report["mrr"] >= 0.9
     # loss trend: first-10-step mean above last-10-step mean
     losses = [l for _, l in history.steps]
     assert np.mean(losses[:10]) > np.mean(losses[-10:])
@@ -369,5 +382,5 @@ def test_eval_report_json_serializable():
     ds = make_separable_corpus(4, num_neg=2, seed=6)
     cfg = tiny_train_config(num_epochs=1)
     params, vocab, _ = train(cfg, ds)
-    report = evaluate(params, vocab, ds)
-    json.loads(report.to_json())
+    report, _ = evaluate(params, vocab, ds)
+    json.loads(json.dumps(report, indent=2, sort_keys=True))

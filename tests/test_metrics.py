@@ -150,7 +150,7 @@ def test_report_aggregation_hand_value():
     scores = [[0.9, 0.1], [0.9, 0.1], [0.9, 0.8, 0.7, 0.6]]
     rankings = [rank_candidates(q, s) for q, s in zip(questions, scores)]
     report = compute_report(questions, rankings, "keep_all", num_skipped=0)
-    assert report.mrr == pytest.approx((1 + 0.5 + 0.25) / 3, abs=1e-9)
+    assert report["mrr"] == pytest.approx((1 + 0.5 + 0.25) / 3, abs=1e-9)
 
 
 def test_report_random_matches_oracle():
@@ -167,8 +167,8 @@ def test_report_random_matches_oracle():
         rrs.append(oracle_rr(scored))
         aps.append(oracle_ap(scored))
     report = compute_report(questions, rankings, "keep_all", num_skipped=0)
-    assert report.mrr == pytest.approx(sum(rrs) / len(rrs), abs=1e-12)
-    assert report.map == pytest.approx(sum(aps) / len(aps), abs=1e-12)
+    assert report["mrr"] == pytest.approx(sum(rrs) / len(rrs), abs=1e-12)
+    assert report["map"] == pytest.approx(sum(aps) / len(aps), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,11 +208,10 @@ def test_report_json_keys():
     ds = make_random_dataset(5, seed=1, allow_no_positive=False)
     rankings = [rank_candidates(q, [0.5] * len(q.candidates)) for q in ds.questions]
     report = compute_report(ds.questions, rankings, "require_positive", num_skipped=2)
-    obj = report.to_dict()
-    assert set(obj) == {"mrr", "map", "num_questions_scored", "num_questions_skipped",
-                        "filter_mode", "per_question"}
-    assert obj["num_questions_skipped"] == 2
-    assert len(obj["per_question"]) == 5
+    assert set(report) == {"mrr", "map", "num_questions_scored", "num_questions_skipped",
+                           "filter_mode", "per_question"}
+    assert report["num_questions_skipped"] == 2
+    assert len(report["per_question"]) == 5
 
 
 # -- length-sorted eval batches ---------------------------------------------

@@ -99,7 +99,14 @@ def test_param_layout_covers_flat():
         assert total == num_params(cfg) == init_params(cfg).flat.size, cfg
 
 
+def test_params_reject_vector_of_another_length():
+    with pytest.raises(ValueError, match="flat vector"):
+        ModelParams(TINY, np.zeros(num_params(TINY) + 1))
+
+
 def test_config_validation():
+    with pytest.raises(ValueError, match="must be >= 1"):
+        ModelConfig(vocab_size=10, num_layers=0)
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=10, hidden_size=10, num_heads=3)
     with pytest.raises(ValueError):

@@ -58,7 +58,7 @@ def test_sampled_k_different_seeds_differ():
 def test_cross_product_count_matches_stats():
     ds = make_random_dataset(80, seed=13)
     triples = generate_triples(ds, SamplingConfig())
-    assert len(triples) == compute_stats(ds).num_train_pairs
+    assert len(triples) == compute_stats(ds)["num_train_pairs"]
 
 
 def test_triples_valid_against_dataset():
