@@ -29,25 +29,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_dataset(path: str, split: str = "test") -> corpus.Dataset:
-    with open(path, encoding="utf-8") as f:
-        return corpus.parse_canonical(f, name=Path(path).stem, split=split)
+def _load_dataset(path: str) -> corpus.Dataset:
+    with open(path, encoding="utf-8-sig") as f:  # as every text input: skips a byte-order mark
+        return corpus.parse_canonical(f)
 
 
 def _load_model(checkpoint_path: str, vocab_path: str):
     with open(checkpoint_path, "rb") as f:
         params = harness.load_checkpoint(f)
-    with open(vocab_path, encoding="utf-8") as f:
+    with open(vocab_path, encoding="utf-8-sig") as f:
         try:
             vocab = Vocab.load(f)
         except ValueError as exc:  # empty, not the reserved tokens first, or a token twice
             raise CheckpointError(f"bad vocab file: {exc}") from exc
+    if params.config.vocab_size != len(vocab):
+        raise CheckpointError(
+            f"checkpoint vocab_size {params.config.vocab_size} != vocab size {len(vocab)}")
     return params, vocab
 
 
 def cmd_convert(args) -> None:
-    with open(args.infile, encoding="utf-8") as f:
-        ds = corpus.convert_tsv(f, name=Path(args.infile).stem)
+    with open(args.infile, encoding="utf-8-sig") as f:
+        ds = corpus.convert_tsv(f)
     with open(args.outfile, "w", encoding="utf-8") as f:
         corpus.write_canonical(ds, f)
 
@@ -58,7 +61,7 @@ def cmd_stats(args) -> None:
 
 
 def cmd_train(args) -> None:
-    with open(args.config, encoding="utf-8") as f:
+    with open(args.config, encoding="utf-8-sig") as f:
         try:
             raw = json.load(f)
         except RecursionError as exc:  # nested deeper than the parser's stack
@@ -69,8 +72,8 @@ def cmd_train(args) -> None:
     if args.seed is not None:
         config = replace(config, base_seed=args.seed, model=replace(config.model, seed=args.seed),
                          sampling=replace(config.sampling, seed=args.seed))
-    train_set = _load_dataset(args.train, split="train")
-    dev_set = _load_dataset(args.dev, split="dev") if args.dev else None
+    train_set = _load_dataset(args.train)
+    dev_set = _load_dataset(args.dev) if args.dev else None
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)  # an unusable --out-dir fails before training
     params, vocab, history = harness.train(config, train_set, dev_set)
@@ -88,6 +91,8 @@ def cmd_train(args) -> None:
 
 def cmd_eval(args) -> None:
     params, vocab = _load_model(args.checkpoint, args.vocab)
+    if args.run_file:  # an unusable path fails before scoring; appending keeps an existing file
+        open(args.run_file, "a", encoding="utf-8").close()
     report, rankings = metrics.evaluate(params, vocab, _load_dataset(args.data),
                                         filter_mode=args.filter)
     if args.run_file:
@@ -100,14 +105,14 @@ def cmd_rank(args) -> None:
     if not args.question.strip():
         raise corpus.CorpusError("--question is empty")
     params, vocab = _load_model(args.checkpoint, args.vocab)
-    with open(args.answers, encoding="utf-8") as f:
+    with open(args.answers, encoding="utf-8-sig") as f:
         answers = [line.strip() for line in f if line.strip()]
     if not answers:
         raise corpus.CorpusError("answers file is empty")
     # one unlabeled question whose answer ids are the input line indices
     question = corpus.Question("rank", args.question, tuple(
         corpus.CandidateAnswer(str(i), a, False) for i, a in enumerate(answers)))
-    [ranked] = metrics.rank_dataset(params, vocab, corpus.Dataset("rank", "test", (question,)))
+    [ranked] = metrics.rank_dataset(params, vocab, corpus.Dataset((question,)))
     for rank, (answer_id, score, _) in enumerate(ranked.entries, start=1):
         print(f"{rank}\t{score:.6f}\t{answers[int(answer_id)]}")
 

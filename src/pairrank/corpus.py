@@ -46,8 +46,6 @@ class Question:
 
 @dataclass(frozen=True)
 class Dataset:
-    name: str
-    split: str
     questions: tuple[Question, ...]
 
 
@@ -83,36 +81,38 @@ def _parse_question(obj: dict, where: str, seen_qids: set[str], warned: set[str]
     """One question object; every error starts with ``where``."""
     qid = _require_id(obj, "question_id", where)
     qtext = _require_str(obj, "question_text", where)
+    at = f"{where}: question {qid}"
     if not qtext.strip():
-        raise CorpusError(f"{where}: question {qid}: empty question_text")
+        raise CorpusError(f"{at}: empty question_text")
     if qid in seen_qids:
         raise CorpusError(f"{where}: duplicate question_id {qid!r}")
     seen_qids.add(qid)
     raw_cands = obj.get("candidates")
     if not isinstance(raw_cands, list) or not raw_cands:
-        raise CorpusError(f"{where}: question {qid}: candidates missing or empty")
+        raise CorpusError(f"{at}: candidates missing or empty")
     cands: list[CandidateAnswer] = []
     seen_aids: set[str] = set()
     for cobj in raw_cands:
         if not isinstance(cobj, dict):
-            raise CorpusError(f"{where}: question {qid}: candidate is not an object")
-        aid = _require_id(cobj, "answer_id", f"{where}: question {qid}")
-        text = _require_str(cobj, "text", f"{where}: question {qid}")
+            raise CorpusError(f"{at}: candidate is not an object")
+        aid = _require_id(cobj, "answer_id", at)
+        text = _require_str(cobj, "text", at)
         if aid in seen_aids:
-            raise CorpusError(f"{where}: question {qid}: duplicate answer_id {aid!r}")
+            raise CorpusError(f"{at}: duplicate answer_id {aid!r}")
         seen_aids.add(aid)
         if not text.strip():
-            raise CorpusError(f"{where}: question {qid}: answer {aid}: empty text")
+            raise CorpusError(f"{at}: answer {aid}: empty text")
         label = cobj.get("label")
         if not isinstance(label, bool):
-            raise CorpusError(f"{where}: question {qid}: answer {aid}: label must be boolean")
-        _warn_unknown(cobj, _CANDIDATE_KEYS, f"{where} answer {aid}", warned)
+            raise CorpusError(f"{at}: answer {aid}: label must be boolean")
+        _warn_unknown(cobj, _CANDIDATE_KEYS, f"{at}: answer {aid}", warned)
         cands.append(CandidateAnswer(answer_id=aid, text=text, label=label))
-    _warn_unknown(obj, _QUESTION_KEYS, where, warned)
+    _warn_unknown(obj, _QUESTION_KEYS, at, warned)
     return Question(question_id=qid, text=qtext, candidates=tuple(cands))
 
 
-def parse_canonical(stream: IO[str], name: str = "dataset", split: str = "train") -> Dataset:
+# name and split are unread; perfbench/workloads.py passes them
+def parse_canonical(stream: IO[str], name: str = "", split: str = "") -> Dataset:
     """Parse canonical JSONL into a Dataset, preserving input order.
 
     Errors carry the 1-based line number. Duplicate question ids, duplicate
@@ -133,7 +133,7 @@ def parse_canonical(stream: IO[str], name: str = "dataset", split: str = "train"
         if not isinstance(obj, dict):
             raise CorpusError(f"line {lineno}: expected a JSON object")
         questions.append(_parse_question(obj, f"line {lineno}", seen_qids, warned))
-    return Dataset(name=name, split=split, questions=tuple(questions))
+    return Dataset(tuple(questions))
 
 
 def write_canonical(dataset: Dataset, stream: IO[str]) -> None:
@@ -177,10 +177,10 @@ def filter_evaluable(dataset: Dataset, mode: str) -> Dataset:
                  if _REQUIRED_LABELS[mode] <= {c.label for c in q.candidates})
     if not kept:
         raise CorpusError("no questions left to evaluate after filtering")
-    return Dataset(name=dataset.name, split=dataset.split, questions=kept)
+    return Dataset(kept)
 
 
-def convert_tsv(rows: Iterable[str], name: str = "dataset", split: str = "train") -> Dataset:
+def convert_tsv(rows: Iterable[str]) -> Dataset:
     """Convert 4-column TSV (question_id, question_text, answer_text, label).
 
     Rows must be grouped by question_id and repeat one question_text; answer
@@ -212,5 +212,5 @@ def convert_tsv(rows: Iterable[str], name: str = "dataset", split: str = "train"
         if not cands:  # the question's first row
             questions.append(row)
         cands.append(row.candidates[0])
-    return Dataset(name=name, split=split, questions=tuple(
+    return Dataset(tuple(
         Question(q.question_id, q.text, tuple(answers[q.question_id])) for q in questions))

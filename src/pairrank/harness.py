@@ -14,14 +14,14 @@ import math
 import struct
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import IO
 
 import numpy as np
 
 from .corpus import FILTER_MODES, CorpusError, Dataset, filter_evaluable
 from .metrics import compute_report, encode_questions, rank_encoded
-from .model import CheckpointError, ModelConfig, ModelParams, backward, forward, init_params, num_params
+from .model import ModelConfig, ModelParams, backward, forward, init_params, num_params
 from .objective import LossConfig, batch_loss
 from .rng import _mix64
 from .sampling import SamplingConfig, generate_triples, shuffle_triples
@@ -143,11 +143,15 @@ def optimizer_step(params: ModelParams, grads: ModelParams,
 
 def save_checkpoint(params: ModelParams, stream: IO[bytes]) -> None:
     """magic, version, JSON config header, flat params as little-endian float32."""
-    header = json.dumps(params.config.to_dict(), sort_keys=True).encode("utf-8")
+    header = json.dumps(asdict(params.config), sort_keys=True).encode("utf-8")
     stream.write(CHECKPOINT_MAGIC)
     stream.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
     stream.write(header)
     stream.write(params.flat.astype("<f4").tobytes())
+
+
+class CheckpointError(ValueError):
+    """A bad checkpoint or vocabulary file, or a vocabulary of another size than vocab_size."""
 
 
 def load_checkpoint(stream: IO[bytes]) -> ModelParams:

@@ -14,7 +14,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .corpus import Dataset, Question, filter_evaluable
-from .model import CheckpointError, ModelParams, forward
+from .model import ModelParams, forward
 from .textenc import EncodedPair, Vocab, encode_pair
 
 BATCH_SIZE = 64  # pairs per eval-mode forward
@@ -109,9 +109,6 @@ def rank_encoded(params: ModelParams, questions: Sequence[Question],
 
 def rank_dataset(params: ModelParams, vocab: Vocab, dataset: Dataset) -> list[RankedList]:
     """Score every candidate of every question (eval mode) and rank them."""
-    if params.config.vocab_size != len(vocab):
-        raise CheckpointError(
-            f"checkpoint vocab_size {params.config.vocab_size} != vocab size {len(vocab)}")
     pairs = encode_questions(vocab, dataset.questions, params.config.max_len)
     return rank_encoded(params, dataset.questions, pairs)
 

@@ -74,10 +74,6 @@ def _keep_freed_heap() -> None:
 _keep_freed_heap()
 
 
-class CheckpointError(ValueError):
-    """A bad checkpoint header or data, or a vocabulary of another size than vocab_size."""
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
@@ -105,7 +101,7 @@ class ModelConfig:
         if type(self.dropout_rate) is bool or not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be a number in [0, 1)")
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict:  # read by perfbench/workloads.py; the program uses asdict
         return dict(self.__dict__)
 
 

@@ -88,7 +88,7 @@ def build_vocab(texts: Iterable[str]) -> Vocab:
 class EncodedPair:
     token_ids: np.ndarray  # (max_len,) int64: [CLS] q [SEP] a [SEP] PAD...
 
-    # read by perfbench/spans.py (model.pad_fraction), acceptance criterion 4 and the tests
+    # read by perfbench/spans.py (model.pad_fraction); the program reads token_ids
     @property
     def attention_mask(self) -> np.ndarray:  # (max_len,) int64, 1 on non-PAD positions
         return (self.token_ids != PAD_ID).astype(np.int64)

@@ -14,8 +14,7 @@ JSON_VALUES = st.recursive(
     max_leaves=8)
 
 
-def make_separable_corpus(num_questions: int, num_neg: int = 4, seed: int = 0,
-                          split: str = "train", name: str = "synthetic") -> Dataset:
+def make_separable_corpus(num_questions: int, num_neg: int = 4, seed: int = 0) -> Dataset:
     """Corpus where positives contain a marker token and negatives never do.
 
     A bag-of-tokens rule ("answer contains the marker") ranks perfectly, so
@@ -36,11 +35,11 @@ def make_separable_corpus(num_questions: int, num_neg: int = 4, seed: int = 0,
         order = rnd.sample(range(len(cands)), len(cands))
         questions.append(Question(question_id=f"q{i}", text=qtext,
                                   candidates=tuple(cands[k] for k in order)))
-    return Dataset(name=name, split=split, questions=tuple(questions))
+    return Dataset(tuple(questions))
 
 
 def make_random_dataset(num_questions: int, max_candidates: int = 10, seed: int = 0,
-                        split: str = "test", allow_no_positive: bool = True) -> Dataset:
+                        allow_no_positive: bool = True) -> Dataset:
     """Fuzzed dataset with random texts and labels."""
     rnd = random.Random(seed)
     questions = []
@@ -59,4 +58,4 @@ def make_random_dataset(num_questions: int, max_candidates: int = 10, seed: int 
             question_id=f"q{i}",
             text=" ".join(rnd.choice(FILLERS) for _ in range(rnd.randint(2, 8))),
             candidates=tuple(cands)))
-    return Dataset(name="fuzz", split=split, questions=tuple(questions))
+    return Dataset(tuple(questions))

@@ -10,6 +10,7 @@ import json
 import os
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,14 +98,14 @@ def test_criterion_4_gradient_verification():
     t0 = time.monotonic()
     vocab = build_vocab(["who wrote the play hamlet shakespeare wrote it in london "
                          "paris is the capital of france and not a play"])
-    cfg = ModelConfig(**{**DESK_MODEL.to_dict(), "vocab_size": len(vocab)})
+    cfg = replace(DESK_MODEL, vocab_size=len(vocab))
     params = init_params(cfg)
     pair = encode_pair(vocab, "who wrote the play hamlet",
                        "shakespeare wrote it in london", max_len=cfg.max_len)
     _, cache = forward(params, [pair])
     grads = backward(params, cache, [1.0])
 
-    seq_len = int(pair.attention_mask.sum())
+    seq_len = int(np.count_nonzero(pair.token_ids))
     used_tokens = sorted(set(pair.token_ids[:seq_len].tolist()))
     offsets = {}
     off = 0
@@ -150,7 +151,7 @@ def test_criterion_5_mechanism_proof_separable_corpus():
     # encoder weights and are out of reproducible scope at desk scale.
     t0 = time.monotonic()
     train_set = make_separable_corpus(50, num_neg=4, seed=100)
-    held_out = make_separable_corpus(20, num_neg=4, seed=200, split="dev")
+    held_out = make_separable_corpus(20, num_neg=4, seed=200)
     config = TrainConfig(model=DESK_MODEL, num_epochs=40, base_seed=0)
     assert config.num_epochs <= 200
     params, vocab, _ = train(config, train_set)
@@ -164,7 +165,7 @@ def test_criterion_5_mechanism_proof_separable_corpus():
 
 def test_criterion_6_full_run_determinism():
     train_set = make_separable_corpus(10, num_neg=3, seed=9)
-    dev_set = make_separable_corpus(5, num_neg=3, seed=10, split="dev")
+    dev_set = make_separable_corpus(5, num_neg=3, seed=10)
     config = TrainConfig(model=DESK_MODEL, num_epochs=4, base_seed=3)
 
     def one_run():
@@ -186,7 +187,7 @@ def test_criterion_7_corpus_integrity():
     buf = io.StringIO()
     write_canonical(ds, buf)
     buf.seek(0)
-    again = parse_canonical(buf, name=ds.name, split=ds.split)
+    again = parse_canonical(buf)
     stats = compute_stats(ds)
     triples = generate_triples(ds, SamplingConfig(strategy="cross_product"))
     check(7, "JSONL round-trip identity and cross-product count on 1000 fuzzed questions",
@@ -199,7 +200,7 @@ def test_criterion_8_wikiqa_table_stats():
     if not path:
         pytest.skip("set PAIRRANK_WIKIQA_TRAIN to a converted WikiQA train JSONL to run")
     with open(path, encoding="utf-8") as f:
-        ds = parse_canonical(f, name="wikiqa", split="train")
+        ds = parse_canonical(f)
     stats = compute_stats(ds)
     check(8, "WikiQA train split matches published statistics",
           stats["num_questions"] == 873 and stats["num_train_pairs"] == 8995,

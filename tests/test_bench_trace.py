@@ -23,9 +23,9 @@ from spans import Tracer  # noqa: E402
 def test_traced_round(model_files, workspace):  # noqa: F811
     ckpt, vocab_path, _, _ = model_files
     with open(workspace / "train.jsonl", encoding="utf-8") as f:
-        train_set = parse_canonical(f, split="train")
+        train_set = parse_canonical(f)
     with open(workspace / "dev.jsonl", encoding="utf-8") as f:
-        dev_set = parse_canonical(f, split="dev")
+        dev_set = parse_canonical(f)
     (workspace / "answers.txt").write_text("word1 word2\nword3\n")
     model_args = ["--checkpoint", str(ckpt), "--vocab", str(vocab_path)]
     tracer = Tracer()

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ def workspace(tmp_path):
     with open(train_path, "w") as f:
         write_canonical(make_separable_corpus(8, num_neg=2, seed=1), f)
     with open(dev_path, "w") as f:
-        write_canonical(make_separable_corpus(4, num_neg=2, seed=2, split="dev"), f)
+        write_canonical(make_separable_corpus(4, num_neg=2, seed=2), f)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(TRAIN_CONFIG))
     return tmp_path
@@ -157,7 +158,7 @@ def test_train_eval_rank_end_to_end(workspace, capsys):
     assert (out_dir / "history.json").exists()
     saved = json.loads((out_dir / "config.json").read_text())
     with open(out_dir / "model.ckpt", "rb") as f:
-        assert saved["model"] == load_checkpoint(f).config.to_dict()  # vocab_size resolved
+        assert saved["model"] == asdict(load_checkpoint(f).config)  # vocab_size resolved
     outputs = run_outputs(out_dir, capsys.readouterr().out)
 
     run_file = workspace / "run.trec"
@@ -437,6 +438,13 @@ def train_into_file(ws: Path) -> list[str]:
             "--out-dir", str(ws / "not_a_dir")]
 
 
+def eval_into_file(ws: Path) -> list[str]:
+    """``eval`` with a --run-file path under a regular file."""
+    (ws / "not_a_dir").write_text("")
+    return ["eval", "--checkpoint", str(ws / "init.ckpt"), "--vocab", str(ws / "init_vocab.txt"),
+            "--data", str(ws / "dev.jsonl"), "--run-file", str(ws / "not_a_dir" / "run.trec")]
+
+
 def stats_of_line(ws: Path, line: str) -> list[str]:
     (ws / "odd.jsonl").write_text(line + "\n")
     return ["stats", "--in", str(ws / "odd.jsonl")]
@@ -539,6 +547,8 @@ MALFORMED = {
     "vocab-duplicate-token": (vocab_with_duplicate, 2),
     "rank-vocab-size-mismatch": (lambda ws: rank_with_vocab(
         ws, "[PAD]\n[UNK]\n[CLS]\n[SEP]\nextra\n"), 2),
+    "eval-vocab-size-mismatch": (lambda ws: eval_with_vocab(
+        ws, "[PAD]\n[UNK]\n[CLS]\n[SEP]\nextra\n"), 2),
     # a blank --question is a data error, as a blank question_text in a corpus is
     "rank-blank-question": (lambda ws: rank_of(ws, "   ", "word1 word2\n"), 2),
     "rank-empty-answers": (lambda ws: rank_of(ws, "question word1", ""), 2),
@@ -557,6 +567,13 @@ MALFORMED = {
     "corpus-missing-candidates": (lambda ws: stats_of_question(ws, candidates=None), 2),
     "corpus-empty-candidates": (lambda ws: stats_of_question(ws, candidates=[]), 2),
     "corpus-candidate-not-object": (lambda ws: stats_of_question(ws, candidates=["shakespeare"]), 2),
+    # a label is a JSON boolean: not 1, not "true", not left out
+    "corpus-int-label": (lambda ws: stats_of_question(ws, candidates=[
+        {"answer_id": "a1", "text": "shakespeare", "label": 1}]), 2),
+    "corpus-string-label": (lambda ws: stats_of_question(ws, candidates=[
+        {"answer_id": "a1", "text": "shakespeare", "label": "true"}]), 2),
+    "corpus-missing-label": (lambda ws: stats_of_question(ws, candidates=[
+        {"answer_id": "a1", "text": "shakespeare"}]), 2),
     "eval-space-in-question-id": (lambda ws: eval_of_data(ws, SPACE_IN_QUESTION_ID), 2),
     "eval-newline-in-answer-id": (lambda ws: eval_of_data(ws, NEWLINE_IN_ANSWER_ID), 2),
     # paths that cannot be opened or created are data errors
@@ -565,6 +582,7 @@ MALFORMED = {
         "eval", "--checkpoint", str(ws), "--vocab", str(ws / "init_vocab.txt"),
         "--data", str(ws / "dev.jsonl")], 2),
     "out-dir-is-file": (train_into_file, 2),
+    "run-file-under-file": (eval_into_file, 2),
 }
 
 
@@ -583,6 +601,7 @@ def test_malformed_input_exit_code(case, model_files, workspace, capsys):
     ("checkpoint-cut-in-config", "error: truncated checkpoint config\n"),
     # a candidate field's error names its line and question as every corpus error does
     ("corpus-empty-answer-id", "error: line 1: question q1: empty answer_id\n"),
+    ("corpus-missing-label", "error: line 1: question q1: answer a1: label must be boolean\n"),
 ])
 def test_malformed_input_message(case, message, model_files, workspace, capsys):
     build_argv, _ = MALFORMED[case]
@@ -608,3 +627,54 @@ def test_unusable_out_dir_fails_before_training(workspace, monkeypatch):
         raise AssertionError("training started before --out-dir was created")
     monkeypatch.setattr(harness, "train", must_not_train)
     assert main(train_into_file(workspace)) == 2
+
+
+def test_unusable_run_file_fails_before_scoring(model_files, workspace, monkeypatch):
+    def must_not_score(*args, **kwargs):
+        raise AssertionError("scoring started before --run-file was opened")
+    monkeypatch.setattr(metrics, "evaluate", must_not_score)
+    assert main(eval_into_file(workspace)) == 2
+
+
+def test_existing_run_file_kept_when_eval_fails_on_data(model_files, workspace):
+    run_file = workspace / "old.trec"
+    run_file.write_bytes(b"q1 Q0 a1 1 0.500000 pairrank\n")
+    assert main([*eval_of_data(workspace, UNANSWERABLE), "--run-file", str(run_file)]) == 2
+    assert run_file.read_bytes() == b"q1 Q0 a1 1 0.500000 pairrank\n"
+
+
+# each text input -> the command that reads it, given ``mark`` to place that input, and the
+# files the command writes; ``mark`` copies a file, with or without a leading byte-order mark
+BOM_INPUTS = {
+    "corpus": lambda ws, mark: (["stats", "--in", mark(ws / "dev.jsonl")], []),
+    "tsv": lambda ws, mark: (["convert", "--from", "tsv", "--in", mark(ws / "in.tsv"),
+                              "--out", str(ws / "out.jsonl")], [ws / "out.jsonl"]),
+    "config": lambda ws, mark: (
+        ["train", "--train", str(ws / "train.jsonl"), "--config", mark(ws / "config.json"),
+         "--epochs", "1", "--out-dir", str(ws / "run")],
+        [ws / "run" / name for name in ("model.ckpt", "vocab.txt", "config.json")]),
+    "vocab": lambda ws, mark: (
+        ["rank", "--checkpoint", str(ws / "init.ckpt"), "--vocab", mark(ws / "init_vocab.txt"),
+         "--question", "question word1 word2", "--answers", str(ws / "answers.txt")], []),
+    "answers": lambda ws, mark: (
+        ["rank", "--checkpoint", str(ws / "init.ckpt"), "--vocab", str(ws / "init_vocab.txt"),
+         "--question", "question word1 word2", "--answers", mark(ws / "answers.txt")], []),
+}
+
+
+@pytest.mark.parametrize("case", list(BOM_INPUTS))
+def test_byte_order_mark_is_skipped(case, model_files, workspace, capsys):
+    (workspace / "in.tsv").write_text("q1\twho wrote hamlet\tshakespeare\t1\n"
+                                      "q1\twho wrote hamlet\tparis\t0\n")
+    (workspace / "answers.txt").write_text("word1 word2 zmarker\nword3 word4\n")
+    runs = []
+    for bom in ("", "\ufeff"):
+        def mark(path: Path) -> str:
+            marked = path.with_name("marked_" + path.name)
+            marked.write_text(bom + path.read_text(encoding="utf-8"), encoding="utf-8")
+            return str(marked)
+        argv, written = BOM_INPUTS[case](workspace, mark)
+        capsys.readouterr()
+        assert main(argv) == 0
+        runs.append((capsys.readouterr().out, [path.read_bytes() for path in written]))
+    assert runs[0] == runs[1]

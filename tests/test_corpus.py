@@ -34,7 +34,7 @@ def roundtrip(ds: Dataset) -> Dataset:
     buf = io.StringIO()
     write_canonical(ds, buf)
     buf.seek(0)
-    return parse_canonical(buf, name=ds.name, split=ds.split)
+    return parse_canonical(buf)
 
 
 def test_parse_single_line():
@@ -82,7 +82,11 @@ def test_unknown_fields_warn_and_roundtrip(caplog):
     obj["candidates"][0]["rank_feature"] = 3
     with caplog.at_level("WARNING"):
         ds = parse_canonical(io.StringIO(json.dumps(obj)))
-    assert [r.args[0] for r in caplog.records] == ["rank_feature", "source", "lang"]
+    # each names its line and question, and a candidate's its answer, as every corpus error does
+    assert caplog.messages == [
+        "ignoring unknown field 'rank_feature' (line 1: question q1: answer a1)",
+        "ignoring unknown field 'source' (line 1: question q1)",
+        "ignoring unknown field 'lang' (line 1: question q1)"]
     again = roundtrip(ds)
     assert again == ds == parse_canonical(io.StringIO(ONE_LINE))  # the unknown fields are dropped
     buf = io.StringIO()
@@ -106,7 +110,7 @@ def test_write_one_line_per_question():
 
 def test_write_empty_dataset():
     buf = io.StringIO()
-    write_canonical(Dataset(name="d", split="test", questions=()), buf)
+    write_canonical(Dataset(()), buf)
     assert buf.getvalue() == ""
 
 
@@ -114,7 +118,7 @@ def test_stats_basic():
     q = Question(question_id="q", text="t", candidates=tuple(
         [CandidateAnswer(f"p{i}", "x", True) for i in range(2)]
         + [CandidateAnswer(f"n{i}", "x", False) for i in range(3)]))
-    stats = compute_stats(Dataset(name="d", split="train", questions=(q,)))
+    stats = compute_stats(Dataset((q,)))
     assert stats["num_train_pairs"] == 6
     assert stats["num_positive"] == 2
     assert stats["num_negative"] == 3
@@ -122,7 +126,7 @@ def test_stats_basic():
 
 
 def test_stats_empty():
-    stats = compute_stats(Dataset(name="d", split="train", questions=()))
+    stats = compute_stats(Dataset(()))
     assert stats == dict.fromkeys(stats, 0)
 
 
@@ -130,8 +134,7 @@ def test_stats_invariants_and_order_invariance():
     ds = make_random_dataset(40, seed=11)
     stats = compute_stats(ds)
     assert stats["num_positive"] + stats["num_negative"] == stats["num_candidates"]
-    reversed_ds = Dataset(name=ds.name, split=ds.split,
-                          questions=tuple(reversed(ds.questions)))
+    reversed_ds = Dataset(tuple(reversed(ds.questions)))
     assert compute_stats(reversed_ds) == stats
 
 
@@ -140,7 +143,7 @@ def _mini_filter_dataset():
                               CandidateAnswer("b", "x", False)))
     q2 = Question("q2", "t", (CandidateAnswer("a", "x", False),
                               CandidateAnswer("b", "x", False)))
-    return Dataset(name="d", split="dev", questions=(q1, q2))
+    return Dataset((q1, q2))
 
 
 def test_filter_keep_all_is_identity():
@@ -168,14 +171,14 @@ def test_filter_rejects_unknown_mode():
 
 
 def _one_label_dataset(label: bool) -> Dataset:
-    return Dataset(name="d", split="dev", questions=tuple(
+    return Dataset(tuple(
         Question(f"q{i}", "t", (CandidateAnswer("a", "x", label),
                                 CandidateAnswer("b", "y", label))) for i in range(3)))
 
 
 @pytest.mark.parametrize("mode, ds", [
-    ("keep_all", Dataset(name="d", split="dev", questions=())),
-    ("require_positive", Dataset(name="d", split="dev", questions=())),
+    ("keep_all", Dataset(())),
+    ("require_positive", Dataset(())),
     ("require_positive", _one_label_dataset(False)),
     ("require_both", _one_label_dataset(False)),
     ("require_both", _one_label_dataset(True)),

@@ -180,7 +180,7 @@ def with_header(header: bytes, body: bytes = b"") -> bytes:
 
 
 def test_checkpoint_declaring_many_layers_is_rejected_before_any_layer_is_built():
-    header = json.dumps({**TINY_MODEL.to_dict(), "num_layers": 10**5}).encode()
+    header = json.dumps({**dataclasses.asdict(TINY_MODEL), "num_layers": 10**5}).encode()
     tracemalloc.start()
     try:
         with pytest.raises(CheckpointError, match="truncated checkpoint parameters"):
@@ -193,15 +193,15 @@ def test_checkpoint_declaring_many_layers_is_rejected_before_any_layer_is_built(
 
 
 @settings(max_examples=100, deadline=None)
-@given(edits=st.dictionaries(st.sampled_from([*TINY_MODEL.to_dict(), "bogus"]), JSON_VALUES,
+@given(edits=st.dictionaries(st.sampled_from([*dataclasses.asdict(TINY_MODEL), "bogus"]), JSON_VALUES,
                              max_size=3),
-       dropped=st.sets(st.sampled_from(list(TINY_MODEL.to_dict())), max_size=2),
+       dropped=st.sets(st.sampled_from(list(dataclasses.asdict(TINY_MODEL))), max_size=2),
        cut=st.none() | st.integers(min_value=0, max_value=num_params(TINY_MODEL) * 4))
 @example(edits={"seed": []}, dropped=set(), cut=None)
 @example(edits={"max_len": 16.5}, dropped=set(), cut=None)
 @example(edits={"hidden_size": 16.0}, dropped=set(), cut=None)
 def test_load_checkpoint_fuzz_header_edits(edits, dropped, cut):
-    header = {k: v for k, v in {**TINY_MODEL.to_dict(), **edits}.items() if k not in dropped}
+    header = {k: v for k, v in {**dataclasses.asdict(TINY_MODEL), **edits}.items() if k not in dropped}
     body = init_params(TINY_MODEL).flat.astype("<f4").tobytes()[:cut]
     loads_or_checkpoint_error(with_header(json.dumps(header).encode(), body))
 
@@ -239,7 +239,7 @@ def test_train_deterministic():
 
 def test_train_records_dev_evals():
     ds = make_separable_corpus(6, num_neg=2, seed=3)
-    dev = make_separable_corpus(3, num_neg=2, seed=4, split="dev")
+    dev = make_separable_corpus(3, num_neg=2, seed=4)
     cfg = tiny_train_config(num_epochs=2)
     _, _, history = train(cfg, ds, dev_set=dev)
     assert len(history.evals) == 2  # once per epoch with eval_every=0
@@ -253,7 +253,7 @@ def test_train_records_dev_evals():
         assert [s for s, _, _ in history.evals] == steps
     # the last evaluation, at the last step, saw the returned params; random labels keep
     # MRR below 1, and questions without a correct answer are filtered out
-    noisy_dev = make_random_dataset(12, seed=5, split="dev")
+    noisy_dev = make_random_dataset(12, seed=5)
     cfg = tiny_train_config(num_epochs=2, batch_size=5, eval_every=2)
     params, vocab, history = train(cfg, ds, dev_set=noisy_dev)
     report, _ = evaluate(params, vocab, noisy_dev, cfg.filter_mode)
@@ -273,7 +273,7 @@ def test_train_encodes_each_dev_pair_once(monkeypatch):
     monkeypatch.setattr(harness, "encode_pair", counting(harness.encode_pair))
     monkeypatch.setattr(metrics, "encode_pair", counting(metrics.encode_pair))
     ds = make_separable_corpus(6, num_neg=2, seed=3)
-    dev = make_separable_corpus(3, num_neg=2, seed=4, split="dev")
+    dev = make_separable_corpus(3, num_neg=2, seed=4)
     cfg = tiny_train_config(num_epochs=2, batch_size=5, eval_every=2)
     _, _, history = train(cfg, ds, dev_set=dev)
     assert len(history.evals) == 3
@@ -304,7 +304,7 @@ def test_dropout_seed_golden_values(monkeypatch, base_seed, expected):
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 def test_unread_key_bias_stays_zero(optimizer):
     # q . b_k is constant along a softmax row, so b_k gets no gradient
-    model = ModelConfig(**{**TINY_MODEL.to_dict(), "num_layers": 2, "dropout_rate": 0.1})
+    model = dataclasses.replace(TINY_MODEL, num_layers=2, dropout_rate=0.1)
     ds = make_separable_corpus(6, num_neg=2, seed=3)
     params, _, _ = train(tiny_train_config(model=model, optimizer=optimizer), ds)
     assert all(np.all(params[f"layer{l}.attn.bk"] == 0.0) for l in range(2))
@@ -352,7 +352,7 @@ def test_train_rejects_unevaluable_dev_set_before_any_step(monkeypatch):
         raise AssertionError("a training step ran before the dev set was checked")
     monkeypatch.setattr(harness, "forward", must_not_forward)
     train_set = make_separable_corpus(6, num_neg=2, seed=3)
-    dev_set = make_separable_corpus(3, num_neg=0, seed=4, split="dev")  # no negatives
+    dev_set = make_separable_corpus(3, num_neg=0, seed=4)  # no negatives
     with pytest.raises(CorpusError, match="no questions left"):
         train(tiny_train_config(filter_mode="require_both"), train_set, dev_set)
 

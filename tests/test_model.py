@@ -3,6 +3,7 @@ import itertools
 import math
 import platform
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_init_deterministic():
 
 def test_init_seed_changes_embeddings():
     a = init_params(TINY)
-    b = init_params(ModelConfig(**{**TINY.to_dict(), "seed": 8}))
+    b = init_params(replace(TINY, seed=8))
     assert not np.array_equal(a["tok_emb"], b["tok_emb"])
 
 
@@ -438,7 +439,7 @@ def test_matches_full_row_reference(vocab, train_mode, num_layers, num_heads, fi
     pairs = mixed_length_pairs(vocab)
     if fills_max_len:  # the batch is not trimmed
         pairs.append(encode_pair(vocab, "who wrote hamlet", "the play " * 20, max_len=cfg.max_len))
-    lengths = [int(p.attention_mask.sum()) for p in pairs]
+    lengths = [int(np.count_nonzero(p.token_ids)) for p in pairs]
     assert len(set(lengths)) > 1 and (max(lengths) == cfg.max_len) == fills_max_len
     g = np.random.default_rng(2).normal(size=len(pairs))
     scores, cache = forward(params, pairs, train_mode=train_mode, dropout_seed=5)
@@ -465,7 +466,7 @@ def test_eval_score_independent_of_batch_mate_lengths(tiny_setup):
     cfg, params, vocab = tiny_setup
     pair = mixed_length_pairs(vocab)[2]
     filler = encode_pair(vocab, "who wrote hamlet", "the play " * 20, max_len=cfg.max_len)
-    assert filler.attention_mask.all()
+    assert np.count_nonzero(filler.token_ids) == cfg.max_len
     alone, _ = forward(params, [pair])
     for mates in (mixed_length_pairs(vocab), [filler, filler]):
         batched, _ = forward(params, [*mates, pair])

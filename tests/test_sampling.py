@@ -17,7 +17,7 @@ def two_pos_three_neg():
         CandidateAnswer("n2", "x", False),
         CandidateAnswer("n3", "x", False),
     ))
-    return Dataset(name="d", split="train", questions=(q,))
+    return Dataset((q,))
 
 
 def test_cross_product_order():
@@ -73,7 +73,7 @@ def test_triples_valid_against_dataset():
 
 def test_degenerate_questions_contribute_nothing():
     q = Question("q1", "t", (CandidateAnswer("a", "x", False),))
-    ds = Dataset(name="d", split="train", questions=(q,))
+    ds = Dataset((q,))
     assert generate_triples(ds, SamplingConfig()) == []
 
 
@@ -81,7 +81,7 @@ def mixed_trainability():
     """q1 has no positive, q3 and q5 no negative; q2, q4 and q6 are trainable."""
     def q(qid, labels):
         return Question(qid, "t", tuple(CandidateAnswer(f"a{i}", "x", l) for i, l in enumerate(labels)))
-    return Dataset(name="d", split="train", questions=(
+    return Dataset((
         q("q1", [False, False, False]), q("q2", [True, False, False, False]), q("q3", [True, True]),
         q("q4", [False, True, False, True, False]), q("q5", [True]), q("q6", [False, True, False])))
 
