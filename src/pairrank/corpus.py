@@ -60,6 +60,8 @@ def _require_str(obj: dict, key: str, where: str) -> str:
     value = obj.get(key)
     if not isinstance(value, str):
         raise CorpusError(f"{where}: field {key!r} missing or not a string")
+    if value.isascii():  # ASCII holds no lone surrogate
+        return value
     try:
         value.encode("utf-8")
     except UnicodeEncodeError as exc:  # a lone surrogate, such as the JSON escape "\ud800"
@@ -72,7 +74,7 @@ def _require_id(obj: dict, key: str, where: str) -> str:
     value = _require_str(obj, key, where)
     if not value:
         raise CorpusError(f"{where}: empty {key}")
-    if any(ch.isspace() for ch in value):
+    if value.split() != [value]:  # str.split breaks at every character isspace() accepts
         raise CorpusError(f"{where}: field {key!r} contains whitespace")
     return value
 

@@ -114,8 +114,9 @@ def optimizer_step(params: ModelParams, grads: ModelParams,
     if grads.flat.shape != params.flat.shape:
         raise ValueError("gradient/parameter shape mismatch")
     state.step += 1
+    g = grads.flat.astype(params.flat.dtype, copy=False)  # every temporary in the master's dtype
     if config.optimizer == "sgd":
-        params.flat -= config.learning_rate * grads.flat
+        params.flat -= config.learning_rate * g
         return
     if state.m is None:
         state.m = np.zeros_like(params.flat)
@@ -124,7 +125,7 @@ def optimizer_step(params: ModelParams, grads: ModelParams,
     # place: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, and
     # params -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
     b1, b2 = config.adam_beta1, config.adam_beta2
-    m, v, g = state.m, state.v, grads.flat
+    m, v = state.m, state.v
     tmp = np.multiply(g, 1 - b1)
     m *= b1
     m += tmp
@@ -177,7 +178,7 @@ def load_checkpoint(stream: IO[bytes]) -> ModelParams:
         raise CheckpointError("truncated checkpoint parameters")
     if len(raw) > expected:
         raise CheckpointError("trailing bytes after checkpoint parameters")
-    flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    flat = np.frombuffer(raw, dtype="<f4").astype(np.float32)  # native order, writable
     if not np.all(np.isfinite(flat)):
         raise CheckpointError("non-finite checkpoint parameters")
     return ModelParams(config, flat)
@@ -194,7 +195,7 @@ def build_training_vocab(train_set: Dataset) -> Vocab:
 
 def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset | None = None,
           vocab: Vocab | None = None) -> tuple[ModelParams, Vocab, TrainHistory]:
-    """Run the full pairwise training loop; returns (params, vocab, history)."""
+    """Run the full pairwise training loop; returns (float32 params, vocab, history)."""
     triples = generate_triples(train_set, config.sampling)  # bad inputs fail before any work
     if not triples:
         raise CorpusError("no training triples (every question lacks a positive or a negative)")
@@ -203,7 +204,9 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset | None = Non
     if vocab is None:
         vocab = build_training_vocab(train_set)
     model_cfg = replace(config.model, vocab_size=len(vocab))
-    params = init_params(model_cfg)
+    # float64 master weights and Adam moments; every pass runs on one float32 copy
+    master = init_params(model_cfg)
+    params = ModelParams(model_cfg, master.flat.astype(np.float32))
 
     # encode each (question, candidate) pair that a triple uses, once
     used = {(t.question_id, a) for t in triples for a in (t.positive_id, t.negative_id)}
@@ -233,7 +236,9 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset | None = Non
             n = len(batch)
             loss, d_yp, d_yn = batch_loss(scores[:n], scores[n:], config.loss)
             grads = backward(params, cache, np.concatenate([d_yp, d_yn]))
-            optimizer_step(params, grads, state, config)
+            optimizer_step(master, grads, state, config)
+            with np.errstate(over="ignore"):  # a master value beyond float32's range casts to inf
+                np.copyto(params.flat, master.flat)
             if not np.isfinite(params.flat).all():
                 raise NumericalAbort(step + 1)
             step += 1

@@ -1,10 +1,13 @@
 """Small transformer encoder with [CLS] pooling and a sigmoid scoring head.
 
-Pure numpy, float64, with hand-written reverse-mode gradients so that
-training needs no framework and gradient checking is exact up to floating
-point. Parameters live in a single flat vector; named tensors are numpy
-views into it, in the documented order (see ``param_layout``), which is
-also the checkpoint order. ``num_params`` sums the layout's sizes in closed
+Pure numpy, with hand-written reverse-mode gradients so that training
+needs no framework and gradient checking is exact up to floating point.
+A pass computes in the dtype of the parameters it is given: training,
+``eval`` and ``rank`` pass float32, the gradient checks float64. The head,
+the logit, the score and the gradient of the score stay float64 either way.
+Parameters live in a single flat vector; named tensors are numpy views into
+it, in the documented order (see ``param_layout``), which is also the
+checkpoint order. ``num_params`` sums the layout's sizes in closed
 form (a test ties the two), so sizing a vector builds nothing per layer.
 
 Block structure per layer (post-layer-norm, as in the original deep
@@ -137,7 +140,7 @@ def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
 
 
 class ModelParams:
-    """All learnable tensors, backed by one flat float64 vector.
+    """All learnable tensors, backed by one flat vector (float64 or float32).
 
     ``flat`` and the named views in ``tensors`` share memory: in-place
     updates on ``flat`` (the optimizer path) are visible through the views
@@ -226,7 +229,7 @@ def _dropout(rng: DeterministicRng | None, x: np.ndarray, rate: float):
     of ``rng``, or (x, 1.0) when ``rng`` is None (no dropout; backward multiplies by 1.0)."""
     if rng is None:
         return x, 1.0
-    mask = (rng.uniform(x.size).reshape(x.shape) >= rate) / (1.0 - rate)
+    mask = np.divide(rng.uniform(x.size).reshape(x.shape) >= rate, 1.0 - rate, dtype=x.dtype)
     return x * mask, mask
 
 
@@ -250,7 +253,7 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
     B = len(batch)
     H, A = cfg.hidden_size, cfg.num_heads
     dh = H // A
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / math.sqrt(dh)  # a Python float, so it keeps the parameters' dtype
 
     rate = cfg.dropout_rate
     rng = (DeterministicRng(dropout_seed, stream=_DROPOUT_STREAM)
@@ -261,7 +264,7 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
     x += params["pos_emb"][:T]
     x += params["seg_emb"].take(segs, axis=0)
     # additive key mask: 0 on real tokens, -inf on PAD keys
-    add_mask = np.where(real[:, None, None, :], 0.0, -np.inf)
+    add_mask = np.where(real[:, None, None, :], x.dtype.type(0.0), x.dtype.type(-np.inf))
 
     layers = []
     for l in range(cfg.num_layers):
@@ -312,7 +315,7 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
         ))
 
     h_cls = x[:, 0, :]
-    logit = h_cls @ params["head.w"] + params["head.b"]
+    logit = h_cls.astype(np.float64, copy=False) @ params["head.w"] + params["head.b"]
     with np.errstate(over="ignore"):  # a logit below -709 scores exactly 0.0
         scores = 1.0 / (1.0 + np.exp(-logit))
     cache = dict(ids=ids, segs=segs, T=T, layers=layers, h_cls=h_cls, logit=logit,
@@ -329,17 +332,19 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
     g = np.asarray(score_grads, dtype=np.float64)
     if g.shape != scores.shape:
         raise ValueError("score_grads length must equal batch size")
-    grads = ModelParams(cfg, np.zeros(num_params(cfg)))
+    dtype = params.flat.dtype
+    grads = ModelParams(cfg, np.zeros(num_params(cfg), dtype))
     B = scores.shape[0]
     T = cache["T"]
     H, A = cfg.hidden_size, cfg.num_heads
     dh = H // A
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / math.sqrt(dh)
 
-    d_logit = g * scores * (1.0 - scores)
+    d_logit = g * scores * (1.0 - scores)  # the head in float64, as in forward()
     grads.tensors["head.w"][...] = cache["h_cls"].T @ d_logit
     grads.tensors["head.b"][...] = d_logit.sum()
-    dx = (d_logit[:, None] * params["head.w"])[:, None, :]  # the [CLS] row, (B, 1, H)
+    # the [CLS] row, (B, 1, H), rounded once to the parameters' dtype
+    dx = (d_logit[:, None] * params["head.w"]).astype(dtype, copy=False)[:, None, :]
 
     for l in reversed(range(cfg.num_layers)):
         p = lambda s: params[f"layer{l}.{s}"]
@@ -392,7 +397,7 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
             dq = du @ wk * scale
             projected = (("q", dq.transpose(1, 0, 2)[:, :, None]),)
         else:
-            dx_in = np.zeros((B, T, H))
+            dx_in = np.zeros((B, T, H), dtype)
             dq = d_logits @ c["k"] * scale
             dk = d_logits.transpose(0, 1, 3, 2) @ c["q"] * scale
             projected = (("q", dq), ("k", dk), ("v", dv))
@@ -413,6 +418,6 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
     grads.tensors["tok_emb"][...] = _embedding_grad(ids, dx, cfg.vocab_size)
     grads.tensors["pos_emb"][:T] += dx.sum(axis=0)
     # segments are 0 or 1: one (2, N) @ (N, H) product over their one-hot
-    one_hot = (segs.reshape(1, -1) == np.arange(2)[:, None]).astype(np.float64)
+    one_hot = segs.reshape(1, -1) == np.arange(2)[:, None]  # bool: the product keeps dx's dtype
     grads.tensors["seg_emb"][...] = one_hot @ dx.reshape(-1, H)
     return grads

@@ -10,6 +10,8 @@ from pairrank.corpus import (
     CandidateAnswer,
     CorpusError,
     Dataset,
+    _require_id,
+    _require_str,
     Question,
     compute_stats,
     convert_tsv,
@@ -305,3 +307,36 @@ def test_parse_canonical_fuzz(text):
     out = io.StringIO()
     write_canonical(dataset, out)
     out.getvalue().encode("utf-8")  # what parses also writes back to a UTF-8 file
+
+
+def accepts(check, value: str) -> bool:
+    try:
+        check({"field": value}, "field", "here")
+    except CorpusError:
+        return False
+    return True
+
+
+def accepted_by_full_scan(value: str, is_id: bool) -> bool:
+    """The checks as a per-character scan: no lone surrogate, and an id is a
+    non-empty string without whitespace."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return not is_id or (value != "" and not any(ch.isspace() for ch in value))
+
+
+# any code point, surrogates included, with every whitespace character str.isspace accepts
+ANY_TEXT = st.text(st.characters(exclude_categories=())
+                   | st.sampled_from([chr(c) for c in range(0x110000) if chr(c).isspace()]))
+
+
+@given(ANY_TEXT)
+@example("")
+@example("a\u2028b")
+@example("\x1f")
+@example("a\ud800")
+def test_string_checks_match_the_full_scan(value):
+    assert accepts(_require_str, value) == accepted_by_full_scan(value, is_id=False)
+    assert accepts(_require_id, value) == accepted_by_full_scan(value, is_id=True)

@@ -142,6 +142,7 @@ def test_checkpoint_roundtrip_bitwise():
     buf.seek(0)
     loaded = load_checkpoint(buf)
     assert loaded.config == TINY_MODEL
+    assert loaded.flat.dtype == np.float32  # eval and rank compute in float32
     # float32 storage: loading then saving again is exact
     assert np.array_equal(loaded.flat, params.flat.astype("<f4").astype(np.float64))
     buf2 = io.BytesIO()
@@ -283,6 +284,21 @@ def test_train_encodes_each_dev_pair_once(monkeypatch):
     assert len(encoded) == len(used) + dev_pairs
 
 
+def test_train_returns_the_model_its_checkpoint_holds():
+    # float64 master weights, float32 passes: train returns the float32 values
+    model = dataclasses.replace(TINY_MODEL, num_layers=2, dropout_rate=0.1)
+    ds = make_separable_corpus(6, num_neg=2, seed=3)
+    dev = make_random_dataset(8, seed=5)
+    params, vocab, _ = train(tiny_train_config(model=model), ds)
+    buf = io.BytesIO()
+    save_checkpoint(params, buf)
+    buf.seek(0)
+    loaded = load_checkpoint(buf)
+    assert params.flat.dtype == loaded.flat.dtype == np.float32
+    assert np.array_equal(params.flat.view(np.int32), loaded.flat.view(np.int32))
+    assert evaluate(loaded, vocab, dev)[0] == evaluate(params, vocab, dev)[0]
+
+
 @pytest.mark.parametrize("base_seed,expected", [
     (0, [8841707400507832957, 5974825227474435752, 15559990572502793946]),
     (11, [11974666870081405309, 12149811572582368307, 14127284536164110970]),
@@ -313,16 +329,18 @@ def test_unread_key_bias_stays_zero(optimizer):
 
 def test_train_aborts_on_non_finite_parameter(monkeypatch):
     real_step = harness.optimizer_step
-
-    def nan_on_third_step(params, grads, state, config):
-        real_step(params, grads, state, config)
-        if state.step == 3:
-            params.flat[5] = np.nan
-    monkeypatch.setattr(harness, "optimizer_step", nan_on_third_step)
     ds = make_separable_corpus(6, num_neg=2, seed=3)
-    with pytest.raises(NumericalAbort) as info:
-        train(tiny_train_config(num_epochs=2), ds)
-    assert info.value.step == 3  # numbered from 1, as in history.json
+    # a float64 master value beyond float32's range is non-finite in the float32
+    # copy, and its cast raises no overflow warning
+    for value in (np.nan, 1e39):
+        def bad_value_on_third_step(params, grads, state, config):
+            real_step(params, grads, state, config)
+            if state.step == 3:
+                params.flat[5] = value
+        monkeypatch.setattr(harness, "optimizer_step", bad_value_on_third_step)
+        with pytest.raises(NumericalAbort) as info:
+            train(tiny_train_config(num_epochs=2), ds)
+        assert info.value.step == 3  # numbered from 1, as in history.json
 
 
 @pytest.mark.parametrize("logit,aborts", [(710.0, True), (math.nan, True), (709.0, False)])

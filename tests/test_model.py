@@ -452,6 +452,72 @@ def test_matches_full_row_reference(vocab, train_mode, num_layers, num_heads, fi
     assert np.abs(ref_grads.flat).max() > 1e-3
 
 
+def float32_case(vocab, seed):
+    """Float64 params whose values are float32, their float32 copy, and a mixed-length
+    batch with a pair filling max_len, for a 2-layer model with dropout 0.1."""
+    cfg = ModelConfig(vocab_size=len(vocab), hidden_size=16, num_layers=2, num_heads=2,
+                      ffn_size=32, max_len=16, dropout_rate=0.1, seed=seed)
+    init = init_params(cfg)
+    flat = (init.flat + np.random.default_rng(seed).normal(0, 0.05, init.flat.size)).astype(np.float32)
+    pairs = [*mixed_length_pairs(vocab),
+             encode_pair(vocab, "who wrote hamlet", "the play " * 20, max_len=cfg.max_len)]
+    return ModelParams(cfg, flat.astype(np.float64)), ModelParams(cfg, flat), pairs
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_float32_pass_matches_float64(vocab, train_mode, seed):
+    # Float32 rounds at 6e-8 relative; scores differed from float64 by at most
+    # 1.4e-8 and gradients by 1.9e-6 of their tensor's largest entry on seeds 0-4.
+    # Tolerances: 1e-6 absolute on scores, 1e-4 relative per gradient tensor.
+    p64, p32, pairs = float32_case(vocab, seed)
+    g = np.random.default_rng(2).normal(size=len(pairs))
+    s64, c64 = forward(p64, pairs, train_mode=train_mode, dropout_seed=5)
+    s32, c32 = forward(p32, pairs, train_mode=train_mode, dropout_seed=5)
+    assert np.abs(s32 - s64).max() <= 1e-6
+    g64, g32 = backward(p64, c64, g), backward(p32, c32, g)
+    for name, _, _ in param_layout(p64.config):
+        assert np.abs(g32[name] - g64[name]).max() <= 1e-4 * np.abs(g64[name]).max(), name
+    assert np.abs(g64.flat).max() > 1e-3
+
+
+def cached_float_arrays(value, path="cache"):
+    """(path, array) for every floating-point array in a forward cache."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from cached_float_arrays(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from cached_float_arrays(item, f"{path}[{i}]")
+    elif isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        yield path, value
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_float32_pass_has_no_float64_array(vocab, train_mode, monkeypatch):
+    # one float64 operand upcasts everything after it; only the head runs in float64
+    _, p32, pairs = float32_case(vocab, 0)
+    scores, cache = forward(p32, pairs, train_mode=train_mode, dropout_seed=5)
+    arrays = dict(cached_float_arrays(cache))
+    assert arrays.pop("cache.logit").dtype == np.float64 and scores.dtype == np.float64
+    assert arrays.pop("cache.scores") is scores
+    assert len(arrays) > 20 and {a.dtype for a in arrays.values()} == {np.dtype(np.float32)}, \
+        [path for path, a in arrays.items() if a.dtype != np.float32]
+    # backward's arrays are not cached: record the gradients its weight and
+    # embedding gradients are made from
+    operands = []
+
+    def recording(real):
+        def record(*args):
+            operands.extend(a.dtype for a in args if isinstance(a, np.ndarray) and a.dtype.kind == "f")
+            return real(*args)
+        return record
+    for name in ("_weight_grad", "_embedding_grad"):
+        monkeypatch.setattr(model, name, recording(getattr(model, name)))
+    assert backward(p32, cache, np.ones(len(pairs))).flat.dtype == np.float32
+    assert len(operands) > 20 and set(operands) == {np.dtype(np.float32)}
+
+
 @pytest.mark.parametrize("rows", [2, 50])
 def test_embedding_grad_matches_add_at_bitwise(rows):
     rng = np.random.default_rng(rows)
@@ -467,10 +533,12 @@ def test_eval_score_independent_of_batch_mate_lengths(tiny_setup):
     pair = mixed_length_pairs(vocab)[2]
     filler = encode_pair(vocab, "who wrote hamlet", "the play " * 20, max_len=cfg.max_len)
     assert np.count_nonzero(filler.token_ids) == cfg.max_len
-    alone, _ = forward(params, [pair])
-    for mates in (mixed_length_pairs(vocab), [filler, filler]):
-        batched, _ = forward(params, [*mates, pair])
-        assert abs(batched[-1] - alone[0]) <= 1e-12
+    # float32 rounding differs with the batch shape by up to 1.4e-8 (20 seeds, 1-2 layers)
+    for params, tol in ((params, 1e-12), (ModelParams(cfg, params.flat.astype(np.float32)), 1e-6)):
+        alone, _ = forward(params, [pair])
+        for mates in (mixed_length_pairs(vocab), [filler, filler]):
+            batched, _ = forward(params, [*mates, pair])
+            assert abs(batched[-1] - alone[0]) <= tol
 
 
 def test_heap_policy_is_harmless_off_glibc(monkeypatch):
