@@ -5,10 +5,10 @@ needs no framework and gradient checking is exact up to floating point.
 A pass computes in the dtype of the parameters it is given: training,
 ``eval`` and ``rank`` pass float32, the gradient checks float64. The head,
 the logit, the score and the gradient of the score stay float64 either way.
-Parameters live in a single flat vector; named tensors are numpy views into
-it, in the documented order (see ``param_layout``), which is also the
-checkpoint order. ``num_params`` sums the layout's sizes in closed
-form (a test ties the two), so sizing a vector builds nothing per layer.
+Parameters live in a single flat vector, which is also the checkpoint:
+the embeddings, then one block of 16 tensors per layer, then the head (see
+``param_layout``). Each tensor class is one numpy view into it, a layer
+tensor stacked over the layers, so nothing is built or sized per layer.
 
 Block structure per layer (post-layer-norm, as in the original deep
 bidirectional encoder this is modeled after): multi-head self-attention
@@ -40,6 +40,7 @@ process (``_keep_freed_heap``), so batches of changing length reuse it.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import platform
 from dataclasses import dataclass
@@ -108,78 +109,76 @@ class ModelConfig:
         return dict(self.__dict__)
 
 
-def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
-    """Flat parameter ordering: (name, shape, init kind).
+def param_layout(config: ModelConfig) -> tuple[list, list, list]:
+    """(embeddings, one layer's block, head), each a list of (name, shape, init kind).
 
     Kinds: "normal" = truncated normal(0, 0.02, +/-2 sigma), "zeros",
-    "ones". The flat checkpoint vector concatenates tensors in exactly
-    this order, each in C (row-major) order. ``num_params`` restates the
-    sizes in closed form, and a test ties the two.
+    "ones". The flat checkpoint vector holds the embeddings, then
+    ``num_layers`` copies of the block (layer 0 first), then the head; each
+    tensor in C (row-major) order.
     """
     h, f = config.hidden_size, config.ffn_size
-    layout: list[tuple[str, tuple[int, ...], str]] = [
-        ("tok_emb", (config.vocab_size, h), "normal"),
-        ("pos_emb", (config.max_len, h), "normal"),
-        ("seg_emb", (2, h), "normal"),
-    ]
-    for l in range(config.num_layers):
-        for proj in ("q", "k", "v", "o"):
-            layout.append((f"layer{l}.attn.w{proj}", (h, h), "normal"))
-            layout.append((f"layer{l}.attn.b{proj}", (h,), "zeros"))
-        layout.append((f"layer{l}.ln1.gain", (h,), "ones"))
-        layout.append((f"layer{l}.ln1.bias", (h,), "zeros"))
-        layout.append((f"layer{l}.ffn.w1", (h, f), "normal"))
-        layout.append((f"layer{l}.ffn.b1", (f,), "zeros"))
-        layout.append((f"layer{l}.ffn.w2", (f, h), "normal"))
-        layout.append((f"layer{l}.ffn.b2", (h,), "zeros"))
-        layout.append((f"layer{l}.ln2.gain", (h,), "ones"))
-        layout.append((f"layer{l}.ln2.bias", (h,), "zeros"))
-    layout.append(("head.w", (h,), "normal"))
-    layout.append(("head.b", (), "zeros"))
-    return layout
+    block = []
+    for proj in ("q", "k", "v", "o"):
+        block += [(f"attn.w{proj}", (h, h), "normal"), (f"attn.b{proj}", (h,), "zeros")]
+    block += [("ln1.gain", (h,), "ones"), ("ln1.bias", (h,), "zeros"),
+              ("ffn.w1", (h, f), "normal"), ("ffn.b1", (f,), "zeros"),
+              ("ffn.w2", (f, h), "normal"), ("ffn.b2", (h,), "zeros"),
+              ("ln2.gain", (h,), "ones"), ("ln2.bias", (h,), "zeros")]
+    embeddings = [("tok_emb", (config.vocab_size, h), "normal"),
+                  ("pos_emb", (config.max_len, h), "normal"), ("seg_emb", (2, h), "normal")]
+    return embeddings, block, [("head.w", (h,), "normal"), ("head.b", (), "zeros")]
+
+
+def num_params(config: ModelConfig) -> int:
+    """The sum of ``param_layout``'s sizes, O(1) in num_layers."""
+    sizes = [sum(math.prod(shape) for _, shape, _ in part) for part in param_layout(config)]
+    return sizes[0] + config.num_layers * sizes[1] + sizes[2]
 
 
 class ModelParams:
     """All learnable tensors, backed by one flat vector (float64 or float32).
 
-    ``flat`` and the named views in ``tensors`` share memory: in-place
-    updates on ``flat`` (the optimizer path) are visible through the views
-    used by forward/backward.
+    ``tensors`` holds one view per tensor class, 21 at any depth; a layer
+    tensor is stacked over the layers, so ``params["attn.wq"][l]`` is layer
+    l's W_q. The views share memory with ``flat``, so in-place updates on
+    ``flat`` (the optimizer path) are visible to forward/backward.
     """
 
     def __init__(self, config: ModelConfig, flat: np.ndarray):
         expected = num_params(config)
-        if flat.shape != (expected,):  # checked before any per-layer work
+        if flat.shape != (expected,):
             raise ValueError(f"flat vector has {flat.shape}, expected ({expected},)")
         self.config = config
         self.flat = flat
         self.tensors: dict[str, np.ndarray] = {}
+        embeddings, block, head = param_layout(config)
         start = 0
-        for name, shape, _ in param_layout(config):
-            end = start + math.prod(shape)
-            self.tensors[name] = flat[start:end].reshape(shape)
-            start = end
+        for layout, count in ((embeddings, 1), (block, config.num_layers), (head, 1)):
+            sizes = [math.prod(shape) for _, shape, _ in layout]
+            rows = flat[start:start + count * sum(sizes)].reshape(count, -1)  # a row per layer
+            start += rows.size
+            for (name, shape, _), end in zip(layout, itertools.accumulate(sizes)):
+                view = rows[:, end - math.prod(shape):end].reshape(count, *shape)
+                self.tensors[name] = view if layout is block else view[0, ...]  # 0-d stays a view
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
 
-def num_params(config: ModelConfig) -> int:
-    """The sum of ``param_layout``'s sizes in closed form, O(1) in num_layers."""
-    h, f = config.hidden_size, config.ffn_size
-    per_layer = 4 * (h * h + h) + 2 * h + (h * f + f) + (f * h + h) + 2 * h
-    return (config.vocab_size + config.max_len + 2) * h + config.num_layers * per_layer + h + 1
-
-
 def init_params(config: ModelConfig) -> ModelParams:
-    """Deterministic initialization from config.seed."""
+    """Deterministic initialization from config.seed, drawn in flat order."""
     rng = DeterministicRng(config.seed, stream=_INIT_STREAM)
     params = ModelParams(config, np.zeros(num_params(config)))
-    for name, shape, kind in param_layout(config):
+    embeddings, block, head = param_layout(config)
+    for view, kind in itertools.chain(
+            ((params[n], k) for n, _, k in embeddings),
+            ((params[n][l], k) for l in range(config.num_layers) for n, _, k in block),
+            ((params[n], k) for n, _, k in head)):
         if kind == "normal":
-            params[name][...] = (rng.truncated_normal(math.prod(shape)) * 0.02).reshape(shape)
+            view[...] = (rng.truncated_normal(view.size) * 0.02).reshape(view.shape)
         elif kind == "ones":
-            params[name][...] = 1.0
+            view[...] = 1.0
     return params
 
 
@@ -268,7 +267,7 @@ def forward(params: ModelParams, batch: Sequence[EncodedPair],
 
     layers = []
     for l in range(cfg.num_layers):
-        p = lambda s: params[f"layer{l}.{s}"]
+        p = lambda s: params[s][l]
         # query rows: every position feeds the next layer, only [CLS] feeds the head
         last = l == cfg.num_layers - 1
         Tq = 1 if last else T
@@ -341,14 +340,14 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
     scale = 1.0 / math.sqrt(dh)
 
     d_logit = g * scores * (1.0 - scores)  # the head in float64, as in forward()
-    grads.tensors["head.w"][...] = cache["h_cls"].T @ d_logit
-    grads.tensors["head.b"][...] = d_logit.sum()
+    grads["head.w"][...] = cache["h_cls"].T @ d_logit
+    grads["head.b"][...] = d_logit.sum()
     # the [CLS] row, (B, 1, H), rounded once to the parameters' dtype
     dx = (d_logit[:, None] * params["head.w"]).astype(dtype, copy=False)[:, None, :]
 
     for l in reversed(range(cfg.num_layers)):
-        p = lambda s: params[f"layer{l}.{s}"]
-        gr = lambda s: grads.tensors[f"layer{l}.{s}"]
+        p = lambda s: params[s][l]
+        gr = lambda s: grads[s][l]
         c = cache["layers"][l]
         last = l == cfg.num_layers - 1
         Tq = 1 if last else T
@@ -415,9 +414,9 @@ def backward(params: ModelParams, cache: dict, score_grads: Sequence[float]) -> 
         dx = dx_in
 
     ids, segs = cache["ids"], cache["segs"]
-    grads.tensors["tok_emb"][...] = _embedding_grad(ids, dx, cfg.vocab_size)
-    grads.tensors["pos_emb"][:T] += dx.sum(axis=0)
+    grads["tok_emb"][...] = _embedding_grad(ids, dx, cfg.vocab_size)
+    grads["pos_emb"][:T] += dx.sum(axis=0)
     # segments are 0 or 1: one (2, N) @ (N, H) product over their one-hot
     one_hot = segs.reshape(1, -1) == np.arange(2)[:, None]  # bool: the product keeps dx's dtype
-    grads.tensors["seg_emb"][...] = one_hot @ dx.reshape(-1, H)
+    grads["seg_emb"][...] = one_hot @ dx.reshape(-1, H)
     return grads

@@ -1,8 +1,10 @@
+import math
 import random
 
 from hypothesis import strategies as st
 
 from pairrank.corpus import CandidateAnswer, Dataset, Question
+from pairrank.model import ModelConfig, param_layout
 
 FILLERS = [f"word{i}" for i in range(30)]
 MARKER = "zmarker"
@@ -59,3 +61,18 @@ def make_random_dataset(num_questions: int, max_candidates: int = 10, seed: int 
             text=" ".join(rnd.choice(FILLERS) for _ in range(rnd.randint(2, 8))),
             candidates=tuple(cands)))
     return Dataset(tuple(questions))
+
+
+def flat_entries(config: ModelConfig):
+    """(name, layer, offset, shape) of every tensor in flat (checkpoint) order.
+
+    ``layer`` is None for the embeddings and the head; a layer tensor is
+    ``params[name][layer]``.
+    """
+    embeddings, block, head = param_layout(config)
+    offset = 0
+    for name, layer, shape in [*((n, None, s) for n, s, _ in embeddings),
+                               *((n, l, s) for l in range(config.num_layers) for n, s, _ in block),
+                               *((n, None, s) for n, s, _ in head)]:
+        yield name, layer, offset, shape
+        offset += math.prod(shape)

@@ -18,12 +18,12 @@ import pytest
 from pairrank.corpus import compute_stats, parse_canonical, write_canonical
 from pairrank.harness import TrainConfig, save_checkpoint, train
 from pairrank.metrics import average_precision, compute_report, evaluate, rank_candidates
-from pairrank.model import ModelConfig, backward, forward, init_params, param_layout
+from pairrank.model import ModelConfig, backward, forward, init_params
 from pairrank.objective import LossConfig, pairwise_loss
 from pairrank.sampling import SamplingConfig, generate_triples
 from pairrank.textenc import build_vocab, encode_pair
 
-from conftest import make_random_dataset, make_separable_corpus
+from conftest import flat_entries, make_random_dataset, make_separable_corpus
 from test_metrics import make_question, oracle_ap, oracle_rr
 
 DESK_MODEL = ModelConfig(vocab_size=4, hidden_size=64, num_layers=2, num_heads=4,
@@ -107,15 +107,9 @@ def test_criterion_4_gradient_verification():
 
     seq_len = int(np.count_nonzero(pair.token_ids))
     used_tokens = sorted(set(pair.token_ids[:seq_len].tolist()))
-    offsets = {}
-    off = 0
-    for name, shape, _ in param_layout(cfg):
-        offsets[name] = (off, shape)
-        off += int(np.prod(shape)) if shape else 1
-
     rng = np.random.default_rng(4)
     indices = []
-    for name, (off, shape) in offsets.items():
+    for name, _, off, shape in flat_entries(cfg):
         size = int(np.prod(shape)) if shape else 1
         h = cfg.hidden_size
         for _ in range(7):

@@ -2,6 +2,7 @@ import ctypes
 import itertools
 import math
 import platform
+import tracemalloc
 import types
 from dataclasses import replace
 
@@ -23,6 +24,8 @@ from pairrank.model import (
 )
 from pairrank.rng import DeterministicRng
 from pairrank.textenc import SEP_ID, build_vocab, encode_pair
+
+from conftest import flat_entries
 
 TINY = ModelConfig(vocab_size=20, hidden_size=16, num_layers=2, num_heads=2,
                    ffn_size=32, max_len=16, seed=7)
@@ -63,9 +66,9 @@ def test_init_seed_changes_embeddings():
 
 def test_init_constants():
     p = init_params(TINY)
-    assert np.all(p["layer0.ln1.gain"] == 1.0)
-    assert np.all(p["layer0.ln1.bias"] == 0.0)
-    assert np.all(p["layer1.attn.bq"] == 0.0)
+    assert np.all(p["ln1.gain"] == 1.0)  # every layer
+    assert np.all(p["ln1.bias"] == 0.0)
+    assert np.all(p["attn.bq"] == 0.0)
     assert p["head.b"] == 0.0
 
 
@@ -94,10 +97,38 @@ def random_configs(n: int, seed: int):
 
 
 def test_param_layout_covers_flat():
-    # num_params restates param_layout's sizes in closed form
+    # the views cover the flat vector exactly once: the embeddings, then each
+    # layer's block, contiguous and in table order, layer 0 first, then the head
     for cfg in [TINY, ModelConfig(vocab_size=30), *random_configs(60, seed=3)]:
-        total = sum(math.prod(s) for _, s, _ in param_layout(cfg))
-        assert total == num_params(cfg) == init_params(cfg).flat.size, cfg
+        n = num_params(cfg)
+        assert n == init_params(cfg).flat.size, cfg
+        p = ModelParams(cfg, np.arange(n, dtype=float))
+        assert len(p.tensors) == 21 and all(np.shares_memory(v, p.flat) for v in p.tensors.values())
+        held = np.concatenate([v.ravel() for v in p.tensors.values()])
+        assert np.array_equal(np.sort(held), np.arange(n)), cfg
+        embeddings, block, head = param_layout(cfg)
+        in_flat_order = [p[name] for name, _, _ in embeddings]
+        for l in range(cfg.num_layers):
+            in_flat_order += [p[name][l] for name, _, _ in block]
+        in_flat_order += [p[name] for name, _, _ in head]
+        shapes = [shape for _, shape, _ in [*embeddings, *block * cfg.num_layers, *head]]
+        assert [v.shape for v in in_flat_order] == shapes, cfg
+        assert np.array_equal(np.concatenate([v.ravel() for v in in_flat_order]), np.arange(n)), cfg
+
+
+def test_params_hold_a_fixed_number_of_objects():
+    # one view per tensor class: 10^4 one-wide layers build no per-layer object
+    cfg = ModelConfig(vocab_size=5, hidden_size=1, num_layers=10_000, num_heads=1,
+                      ffn_size=1, max_len=8)
+    flat = np.zeros(num_params(cfg), np.float32)
+    tracemalloc.start()
+    try:
+        params = ModelParams(cfg, flat)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(params.tensors) == 21 and params["ffn.w1"].shape == (10_000, 1, 1)
+    assert held < 64 * 1024, held
 
 
 def test_params_reject_vector_of_another_length():
@@ -231,7 +262,7 @@ def test_gradient_check_one_layer(vocab):
     g = np.random.default_rng(4).normal(size=len(pairs))
     kind = ModelParams(cfg, np.zeros(params.flat.size))  # 1 attention, 2 embedding
     for name, tensor in kind.tensors.items():
-        tensor[...] = 1 if ".attn." in name else 2 if name.endswith("_emb") else 0
+        tensor[...] = 1 if name.startswith("attn.") else 2 if name.endswith("_emb") else 0
     embeddings = np.random.default_rng(5).choice(np.flatnonzero(kind.flat == 2), 60, replace=False)
     check_gradient_entries(params, pairs, g, [*np.flatnonzero(kind.flat == 1), *embeddings],
                            train_mode=True)
@@ -248,9 +279,9 @@ def test_gradient_check_two_layers_train_mode(vocab):
              encode_pair(vocab, "who wrote hamlet", "the play " * 20, max_len=cfg.max_len)]
     g = np.random.default_rng(8).normal(size=len(pairs))
     rng = np.random.default_rng(9)
-    ends = np.cumsum([math.prod(shape) for _, shape, _ in param_layout(cfg)])
-    indices = [j for start, end in zip([0, *ends[:-1]], ends)  # a few entries of every tensor
-               for j in rng.choice(np.arange(start, end), min(6, end - start), replace=False)]
+    indices = [j for _, _, start, shape in flat_entries(cfg)  # a few entries of every tensor
+               for j in rng.choice(np.arange(start, start + math.prod(shape)),
+                                   min(6, math.prod(shape)), replace=False)]
     check_gradient_entries(params, pairs, g, indices, train_mode=True)
 
 
@@ -330,7 +361,7 @@ def ref_forward(params, batch, train_mode=False, dropout_seed=0):
     add_mask = np.where(mask[:, None, None, :] == 1, 0.0, -np.inf)
     layers = []
     for l in range(cfg.num_layers):
-        p = lambda s: params[f"layer{l}.{s}"]
+        p = lambda s: params[s][l]
         rows = 1 if l == cfg.num_layers - 1 else used_T  # the last layer computes [CLS] alone
         x_in = x
         q, k, v = ((x_in @ p(f"attn.w{n}") + p(f"attn.b{n}")).reshape(B, T, A, dh)
@@ -373,8 +404,8 @@ def ref_backward(params, cache, score_grads):
     dx = np.zeros((B, T, H))
     dx[:, 0, :] = d_logit[:, None] * params["head.w"]
     for l in reversed(range(cfg.num_layers)):
-        p = lambda s: params[f"layer{l}.{s}"]
-        gr = lambda s: grads[f"layer{l}.{s}"]
+        p = lambda s: params[s][l]
+        gr = lambda s: grads[s][l]
         c = cache["layers"][l]
         dr2, gr("ln2.gain")[...], gr("ln2.bias")[...] = _ref_layer_norm_backward(
             dx, p("ln2.gain"), c["ln2"])
@@ -447,7 +478,7 @@ def test_matches_full_row_reference(vocab, train_mode, num_layers, num_heads, fi
     assert np.abs(scores - ref_scores).max() <= 1e-10
     grads = backward(params, cache, g)
     ref_grads = ref_backward(params, ref_cache, g)
-    for name, _, _ in param_layout(cfg):
+    for name in grads.tensors:
         assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-10, name
     assert np.abs(ref_grads.flat).max() > 1e-3
 
@@ -476,7 +507,7 @@ def test_float32_pass_matches_float64(vocab, train_mode, seed):
     s32, c32 = forward(p32, pairs, train_mode=train_mode, dropout_seed=5)
     assert np.abs(s32 - s64).max() <= 1e-6
     g64, g32 = backward(p64, c64, g), backward(p32, c32, g)
-    for name, _, _ in param_layout(p64.config):
+    for name in g64.tensors:
         assert np.abs(g32[name] - g64[name]).max() <= 1e-4 * np.abs(g64[name]).max(), name
     assert np.abs(g64.flat).max() > 1e-3
 
